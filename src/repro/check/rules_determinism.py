@@ -43,7 +43,6 @@ _SCOPE_SUFFIXES = (
     "core/goal_inversion.py",
     "core/model_comparison.py",
     "core/constrained.py",
-    "engine/units.py",
     "engine/process.py",
 )
 

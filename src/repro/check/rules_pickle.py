@@ -1,6 +1,7 @@
 """Pickle-safety rule (PKL family).
 
-The process executor ships ``(kind, payload)`` work units plus one
+The process executor ships ``(function, payload)`` work units — a
+module-level function, pickled by reference, plus plain values — and one
 :class:`~repro.core.model_manager.ModelManager` per fingerprint across a
 ``spawn`` boundary (see ``engine/process.py``), and the event bus forwards
 :class:`~repro.engine.events.JobEvent` payloads between threads and SSE

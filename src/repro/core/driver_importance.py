@@ -20,6 +20,7 @@ correlation "to ensure that the model coefficients are not misleading".
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import Any
 
 import numpy as np
 
@@ -33,12 +34,9 @@ from ..stats import (
 )
 from .model_manager import ModelManager
 from .results import DriverImportance, ImportanceResult
+from .sensitivity import INLINE
 
-__all__ = ["compute_driver_importance"]
-
-
-def _no_checkpoint(fraction: float) -> None:
-    """Default progress sink when no checkpoint is threaded through."""
+__all__ = ["compute_driver_importance", "driver_importance_unit"]
 
 
 def _normalise_signed(scores: np.ndarray) -> np.ndarray:
@@ -82,46 +80,51 @@ def compute_driver_importance(
         identical with and without one; cancellation latency is bounded by
         the longest single stage (the Shapley estimate).
     executor:
-        Optional process executor; the whole analysis then runs as one work
-        unit in a worker process (its stages share intermediate arrays, so
-        the win is escaping the GIL, not splitting stages).  The seeded
-        estimates reproduce identically in the worker.
+        Optional executor (default :data:`~repro.core.sensitivity.INLINE`);
+        the whole analysis runs as one :func:`driver_importance_unit` (its
+        stages share intermediate arrays, so a process pool escapes the GIL
+        rather than splitting stages).  The seeded estimates reproduce
+        identically in a worker.
 
     Returns
     -------
     ImportanceResult
         Drivers ordered most-to-least important by absolute importance.
     """
-    if executor is not None:
-        if checkpoint is not None:
-            checkpoint(0.0)
-        payload = {
-            "verify": bool(verify),
-            "shapley_samples": int(shapley_samples),
-            "shapley_permutations": int(shapley_permutations),
-            "permutation_repeats": int(permutation_repeats),
-            "random_state": random_state,
-        }
-        [result] = executor.run_units(
-            manager, [("driver_importance", payload)], checkpoint=checkpoint
-        )
-        return result
+    payload = {
+        "verify": bool(verify),
+        "shapley_samples": int(shapley_samples),
+        "shapley_permutations": int(shapley_permutations),
+        "permutation_repeats": int(permutation_repeats),
+        "random_state": random_state,
+    }
+    [result] = (executor or INLINE).run_units(
+        manager, [(driver_importance_unit, payload)], checkpoint=checkpoint
+    )
+    return result
 
-    tick = checkpoint if checkpoint is not None else _no_checkpoint
+
+def driver_importance_unit(
+    manager: ModelManager, payload: dict[str, Any], checkpoint: Callable[[float], None]
+) -> ImportanceResult:
+    """Run one whole driver-importance analysis described by ``payload`` (the
+    arguments of :func:`compute_driver_importance`), checkpointing at stage
+    boundaries."""
+    random_state = payload["random_state"]
     frame = manager.frame
     drivers = manager.drivers
     kpi = manager.kpi
 
     X = manager.driver_matrix()
     y = kpi.target_vector(frame)
-    tick(0.05)
+    checkpoint(0.05)
 
     raw = manager.raw_importances()
-    tick(0.1)
+    checkpoint(0.1)
     pearson_scores = []
     for j in range(len(drivers)):
         pearson_scores.append(pearson_correlation(X[:, j], y))
-        tick(0.1 + 0.1 * (j + 1) / len(drivers))
+        checkpoint(0.1 + 0.1 * (j + 1) / len(drivers))
     pearson = np.array(pearson_scores)
     if kpi.is_discrete:
         # forest importances are magnitudes; recover the direction of each
@@ -135,30 +138,30 @@ def compute_driver_importance(
 
     verification_per_driver: list[dict[str, float]] = [{} for _ in drivers]
     agreement: dict[str, dict[str, float]] = {}
-    if verify:
+    if payload["verify"]:
         spearman_scores = []
         for j in range(len(drivers)):
             spearman_scores.append(spearman_correlation(X[:, j], y))
-            tick(0.2 + 0.1 * (j + 1) / len(drivers))
+            checkpoint(0.2 + 0.1 * (j + 1) / len(drivers))
         spearman = np.array(spearman_scores)
         shapley = global_shapley_importance(
             manager.model,
             X,
-            n_samples=shapley_samples,
-            n_permutations=shapley_permutations,
+            n_samples=payload["shapley_samples"],
+            n_permutations=payload["shapley_permutations"],
             signed=True,
             random_state=random_state,
         )
-        tick(0.7)
+        checkpoint(0.7)
         perm = permutation_importance(
             manager.model,
             X,
             y,
-            n_repeats=permutation_repeats,
+            n_repeats=payload["permutation_repeats"],
             scoring=_scoring_for(manager),
             random_state=random_state,
         )["importances_mean"]
-        tick(0.95)
+        checkpoint(0.95)
 
         for j, driver in enumerate(drivers):
             verification_per_driver[j] = {
@@ -200,7 +203,7 @@ def compute_driver_importance(
         model_confidence=manager.confidence(),
         agreement=agreement,
     )
-    tick(1.0)
+    checkpoint(1.0)
     return result
 
 

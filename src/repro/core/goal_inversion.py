@@ -17,6 +17,7 @@ user-supplied bounds; see :mod:`repro.core.constrained`.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
+from typing import Any
 
 from ..optimize import (
     ConstraintSet,
@@ -29,8 +30,9 @@ from ..optimize import (
 from .model_manager import ModelManager
 from .perturbation import PerturbationSet
 from .results import GoalInversionResult
+from .sensitivity import INLINE
 
-__all__ = ["invert_goal", "GOALS", "DEFAULT_PERTURBATION_RANGE"]
+__all__ = ["invert_goal", "goal_inversion_unit", "GOALS", "DEFAULT_PERTURBATION_RANGE"]
 
 #: Supported goal kinds.
 GOALS = ("maximize", "minimize", "target")
@@ -133,13 +135,14 @@ def invert_goal(
         identical candidate sequence either way, so results are bitwise equal
         with and without a checkpoint.
     executor:
-        Optional process executor; the whole (unconstrained) inversion then
-        runs as one work unit in a worker process — the optimiser is
-        sequential, so the win is moving the model evaluations off the GIL,
-        not splitting them.  Seeded optimisers reproduce the identical
-        candidate sequence in the worker, so results are bitwise equal.
-        Constrained runs stay in-process (:class:`ConstraintSet` may carry
-        arbitrary callables that do not pickle).
+        Optional executor (default :data:`~repro.core.sensitivity.INLINE`);
+        the whole inversion runs as one :func:`goal_inversion_unit` — the
+        optimiser is sequential, so a process pool moves the model
+        evaluations off the GIL rather than splitting them.  Seeded
+        optimisers reproduce the identical candidate sequence in a worker,
+        so results are bitwise equal.  Constrained runs always stay
+        in-process (:class:`ConstraintSet` may carry arbitrary callables
+        that do not pickle).
 
     Returns
     -------
@@ -162,30 +165,48 @@ def invert_goal(
             f"unknown optimizer {optimizer!r}; expected 'bayesian', 'random', or 'grid'"
         )
 
-    space = _build_space(chosen, dict(bounds or {}), default_range)
+    _build_space(chosen, dict(bounds or {}), default_range)  # validates the bounds
+    payload: dict[str, Any] = {
+        "goal": goal,
+        "target_value": float(target_value) if target_value is not None else None,
+        "drivers": chosen,
+        "bounds": {
+            driver: [float(low), float(high)] for driver, (low, high) in (bounds or {}).items()
+        },
+        "mode": mode,
+        "default_range": [float(default_range[0]), float(default_range[1])],
+        "n_calls": int(n_calls),
+        "optimizer": optimizer,
+        "random_state": random_state,
+    }
+    if constraints is not None:
+        # a ConstraintSet may hold callables that do not pickle: its
+        # optimiser loop stays in-process, carried in an inline-only payload
+        payload["constraints"] = constraints
+        executor = INLINE
+    [result] = (executor or INLINE).run_units(
+        manager, [(goal_inversion_unit, payload)], checkpoint=checkpoint
+    )
+    return result
 
-    if executor is not None and constraints is None:
-        if checkpoint is not None:
-            checkpoint(0.0)
-        payload = {
-            "goal": goal,
-            "target_value": float(target_value) if target_value is not None else None,
-            "drivers": chosen,
-            "bounds": {
-                driver: [float(low), float(high)]
-                for driver, (low, high) in (bounds or {}).items()
-            },
-            "mode": mode,
-            "default_range": [float(default_range[0]), float(default_range[1])],
-            "n_calls": int(n_calls),
-            "optimizer": optimizer,
-            "random_state": random_state,
-        }
-        [result] = executor.run_units(
-            manager, [("goal_inversion", payload)], checkpoint=checkpoint
-        )
-        return result
 
+def goal_inversion_unit(
+    manager: ModelManager, payload: dict[str, Any], checkpoint: Callable[[float], None]
+) -> GoalInversionResult:
+    """Run one whole goal inversion described by ``payload`` (the validated
+    arguments of :func:`invert_goal`), checkpointing after every evaluation."""
+    goal = payload["goal"]
+    target_value = payload["target_value"]
+    chosen = list(payload["drivers"])
+    bounds = {
+        driver: (float(low), float(high)) for driver, (low, high) in payload["bounds"].items()
+    }
+    constraints = payload.get("constraints")
+    mode = payload["mode"]
+    optimizer = payload["optimizer"]
+    n_calls = payload["n_calls"]
+    random_state = payload["random_state"]
+    space = _build_space(chosen, bounds, tuple(payload["default_range"]))
     original_kpi = manager.baseline_kpi()
 
     def kpi_of(point: Sequence[float]) -> float:
@@ -202,10 +223,7 @@ def invert_goal(
         objective = kpi_of
     else:
         objective = lambda point: abs(kpi_of(point) - float(target_value))  # noqa: E731
-
-    if checkpoint is not None:
-        checkpoint(0.0)
-        objective = _with_progress(objective, checkpoint, n_calls)
+    objective = _with_progress(objective, checkpoint, n_calls)
 
     if optimizer == "bayesian":
         result = gp_minimize(
@@ -219,7 +237,7 @@ def invert_goal(
         result = random_minimize(
             objective, space, n_calls=n_calls, constraints=constraints, random_state=random_state
         )
-    elif optimizer == "grid":
+    else:
         points_per_dim = max(2, int(round(n_calls ** (1.0 / len(chosen)))))
         result = grid_minimize(
             objective,
@@ -227,10 +245,6 @@ def invert_goal(
             points_per_dim=points_per_dim,
             max_calls=n_calls,
             constraints=constraints,
-        )
-    else:
-        raise ValueError(
-            f"unknown optimizer {optimizer!r}; expected 'bayesian', 'random', or 'grid'"
         )
 
     best_changes = {driver: float(value) for driver, value in zip(chosen, result.x)}

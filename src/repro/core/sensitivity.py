@@ -1,4 +1,4 @@
-"""Sensitivity analysis (functionality 2, paper view (H)).
+"""Sensitivity analysis (functionality 2, paper view (H)) and work units.
 
 Three flavours, all of which re-run the trained KPI model on hypothetically
 perturbed data and compare against the original prediction:
@@ -13,15 +13,25 @@ perturbed data and compare against the original prediction:
 * :func:`run_per_data` — the *per-data analysis* feature: perturb a single
   data point and observe the change in its own predicted KPI.
 
-Every sweep-shaped runner accepts an optional ``checkpoint`` callable (the
-async engine passes :meth:`repro.engine.job.JobContext.checkpoint`): between
-chunks of work it is called with the completed fraction, which both publishes
-partial progress and gives cooperative cancellation a place to raise.  The
-chunked paths are *bitwise identical* to the plain ones — chunks only regroup
-rows/matrices whose per-row predictions and per-matrix aggregations are
-independent — so an async job returns exactly the payload the synchronous
-action would have.  With ``checkpoint=None`` (the synchronous dispatcher) the
-original single-shot code paths run untouched.
+This module also holds the one way a job's work is split.  A *work unit* is
+a ``(function, payload)`` pair: a module-level function placed beside the
+algorithm it splits, called as ``function(manager, payload, checkpoint)``
+with a payload of plain values.  An executor runs a list of units and
+returns their results in unit order — :class:`InlineExecutor` in order on
+the calling thread, :class:`~repro.engine.process.ProcessExecutor` across
+worker processes.  Row and perturbation-set splits are sized by
+:func:`unit_ranges`: at least one unit per executor worker and at most one
+chunk (:data:`SENSITIVITY_CHUNK_ROWS`, :data:`COMPARISON_CHUNK_MATRICES`)
+per unit.  Units only regroup rows and matrices whose predictions and
+aggregations are independent, so results are *bitwise identical* to the
+single-shot path.
+
+A *bare call* passes neither an executor nor a checkpoint (the synchronous
+actions and the plain :class:`~repro.core.session.WhatIfSession` API); it
+scores sensitivity and comparison in one single-shot pass.  A call with a
+checkpoint and no executor runs its units on :data:`INLINE`; the checkpoint
+is called with the completed fraction once per unit, which both publishes
+progress and gives cooperative cancellation a place to raise.
 """
 
 from __future__ import annotations
@@ -31,17 +41,32 @@ from typing import Any
 
 import numpy as np
 
+from ..obs import trace
 from .model_manager import ModelManager
 from .perturbation import Perturbation, PerturbationSet
 from .results import ComparisonPoint, ComparisonResult, PerDataResult, SensitivityResult
 
-__all__ = ["run_sensitivity", "run_comparison", "run_per_data", "split_ranges"]
+__all__ = [
+    "run_sensitivity",
+    "run_comparison",
+    "run_per_data",
+    "split_ranges",
+    "unit_ranges",
+    "InlineExecutor",
+    "INLINE",
+    "sensitivity_rows_unit",
+    "perturbation_sets_unit",
+]
 
-#: Row-chunk size of the checkpointed sensitivity prediction path.
+#: Rows per sensitivity work unit.
 SENSITIVITY_CHUNK_ROWS = 2048
 
-#: Perturbed matrices evaluated per chunk of a checkpointed comparison sweep.
+#: Perturbed matrices per comparison work unit.
 COMPARISON_CHUNK_MATRICES = 4
+
+
+def ignore(*_args: Any) -> None:
+    """Default sink for an absent checkpoint, event publisher or callback."""
 
 
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
@@ -49,8 +74,7 @@ def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
 
     The ranges are returned in order and cover every index exactly once, so
     concatenating per-range results reproduces the full-range result for any
-    elementwise computation.  Used to partition rows, comparison points, and
-    scenario enumerations into process-pool work units.
+    elementwise computation.
     """
     total = int(total)
     if total <= 0:
@@ -60,71 +84,97 @@ def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return [(start, min(total, start + step)) for start in range(0, total, step)]
 
 
-def _predict_kpi_chunked(
-    manager: ModelManager,
-    matrix: np.ndarray,
-    checkpoint: Callable[[float], None],
-    *,
-    chunk_rows: int | None = None,
-    emit: Callable[..., None] | None = None,
-) -> float:
-    """Aggregate KPI of ``matrix`` predicted in row chunks.
+def unit_ranges(total: int, executor, chunk: int) -> list[tuple[int, int]]:
+    """The sizing rule for a split over ``total`` rows or perturbation sets:
+    at least one unit per executor worker, at most ``chunk`` items per unit."""
+    return split_ranges(total, max(executor.workers, -(-int(total) // int(chunk))))
 
-    Per-row predictions are independent, so concatenating chunk predictions
-    reproduces the whole-matrix prediction bitwise; the KPI aggregation then
-    sees the identical array.  With ``emit``, every chunk publishes a
-    ``sensitivity_chunk`` event carrying the rows scored so far and the
-    partial KPI over that prefix — streaming clients watch the estimate
-    converge to the exact final value.
+
+class InlineExecutor:
+    """Runs work units in order on the calling thread.
+
+    It has the :meth:`~repro.engine.process.ProcessExecutor.run_units`
+    signature and opens the same ``unit`` → ``score`` spans a pool worker
+    opens.  ``checkpoint`` is called with ``progress[0]`` first and then once
+    per finished unit (after ``on_unit_done``) with the weighted completed
+    fraction mapped onto ``progress``; a unit's own checkpoint calls map into
+    its share of that interval.
     """
-    if chunk_rows is None:  # read at call time so tests can shrink the chunks
-        chunk_rows = SENSITIVITY_CHUNK_ROWS
-    n_rows = matrix.shape[0]
-    parts = []
-    for start in range(0, n_rows, chunk_rows):
-        parts.append(manager.predict_rows_matrix(matrix[start : start + chunk_rows]))
-        checkpoint(min(1.0, (start + chunk_rows) / n_rows))
-        if emit is not None:
-            emit(
-                "sensitivity_chunk",
-                {
-                    "rows_scored": min(n_rows, start + chunk_rows),
-                    "n_rows": n_rows,
-                    "partial_kpi": float(manager.kpi.aggregate(np.concatenate(parts))),
-                },
-            )
-    rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return manager.kpi.aggregate(rows)
+
+    workers = 1
+
+    def run_units(
+        self,
+        manager: ModelManager,
+        units: Sequence[tuple[Callable[..., Any], dict[str, Any]]],
+        *,
+        checkpoint: Callable[[float], None] | None = None,
+        progress: tuple[float, float] = (0.0, 1.0),
+        weights: Sequence[float] | None = None,
+        on_unit_done: Callable[[int, Any], None] | None = None,
+    ) -> list[Any]:
+        """Execute ``units`` one after another; return results in unit order."""
+        tick = checkpoint or ignore
+        on_unit_done = on_unit_done or ignore
+        unit_weights = [float(w) for w in weights] if weights is not None else [1.0] * len(units)
+        if len(unit_weights) != len(units):
+            raise ValueError("weights must align with units")
+        base, top = progress
+        scale = (top - base) / (sum(unit_weights) or 1.0)
+        done = 0.0
+        tick(base)
+        results = []
+        for index, ((function, payload), weight) in enumerate(zip(units, unit_weights)):
+
+            def unit_checkpoint(fraction: float, done: float = done, weight: float = weight):
+                tick(base + scale * (done + weight * min(1.0, max(0.0, float(fraction)))))
+
+            with trace.span("unit", worker="inline", unit=index):
+                with trace.span("score", unit_kind=function.__name__):
+                    result = function(manager, payload, unit_checkpoint)
+            results.append(result)
+            done += weight
+            on_unit_done(index, result)
+            tick(base + scale * done)
+        return results
 
 
-def _predict_kpi_batch_chunked(
-    manager: ModelManager,
-    matrices: list[np.ndarray],
-    checkpoint: Callable[[float], None],
-    *,
-    chunk_matrices: int | None = None,
-    on_chunk: Callable[[int, np.ndarray], None] | None = None,
+#: The executor a call that passes a checkpoint but no executor runs on.
+INLINE = InlineExecutor()
+
+
+def sensitivity_rows_unit(
+    manager: ModelManager, payload: dict[str, Any], checkpoint: Callable[[float], None]
 ) -> np.ndarray:
-    """Aggregate KPIs of many perturbed matrices, evaluated in chunks.
+    """Perturb and predict rows ``payload["rows"] = [start, stop)``.
 
-    Each matrix is predicted and aggregated independently inside
-    :meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch`, so
-    splitting the batch only changes how the work is grouped, not any value.
-    ``on_chunk(start, values)`` fires after each chunk with its KPI values —
-    the comparison runner maps them back to (driver, amount) points for
-    streaming.
+    Perturbations are elementwise per row and predictions never look across
+    rows, so the slice scores exactly as it would inside the full matrix.
     """
-    if chunk_matrices is None:  # read at call time so tests can shrink the chunks
-        chunk_matrices = COMPARISON_CHUNK_MATRICES
-    kpis = np.empty(len(matrices))
-    for start in range(0, len(matrices), chunk_matrices):
-        chunk = matrices[start : start + chunk_matrices]
-        values = manager.predict_kpi_batch(chunk)
-        kpis[start : start + len(chunk)] = values
-        checkpoint(min(1.0, (start + len(chunk)) / max(1, len(matrices))))
-        if on_chunk is not None:
-            on_chunk(start, np.asarray(values))
-    return kpis
+    perturbations = PerturbationSet.from_list(payload["perturbations"])
+    start, stop = payload["rows"]
+    matrix = perturbations.apply_to_matrix(
+        manager.driver_matrix()[int(start) : int(stop)], manager.drivers
+    )
+    return manager.predict_rows_matrix(matrix)
+
+
+def perturbation_sets_unit(
+    manager: ModelManager, payload: dict[str, Any], checkpoint: Callable[[float], None]
+) -> np.ndarray:
+    """Aggregate KPI of every perturbation set in ``payload["sets"]`` (their
+    ``to_list()`` forms), scored in one ``predict_kpi_batch`` call.
+
+    Each matrix is predicted and aggregated independently inside the batch,
+    so any grouping of sets into units yields the same values.
+    """
+    baseline = manager.driver_matrix()
+    return manager.predict_kpi_batch(
+        [
+            PerturbationSet.from_list(wire).apply_to_matrix(baseline, manager.drivers)
+            for wire in payload["sets"]
+        ]
+    )
 
 
 def _sensitivity_kpi_units(
@@ -132,38 +182,44 @@ def _sensitivity_kpi_units(
     perturbations: PerturbationSet,
     executor,
     checkpoint: Callable[[float], None] | None,
-    emit: Callable[..., None] | None = None,
+    emit: Callable[..., None],
 ) -> float:
-    """Perturbed KPI computed as row-range work units on a process executor.
+    """Perturbed KPI computed as row-range work units on ``executor``.
 
-    Perturbations are elementwise per row and predictions never look across
-    rows, so concatenating per-range predictions in range order reproduces
-    the full-matrix prediction bitwise before the single KPI aggregation.
-    With ``emit``, each completed row-range unit publishes a
-    ``sensitivity_chunk`` event as its result crosses back from the worker
-    process (units finish in any order, so no prefix-partial KPI here).
+    Concatenating per-range predictions in range order reproduces the
+    full-matrix prediction bitwise before the single KPI aggregation.  Each
+    finished unit publishes a ``sensitivity_chunk`` event whose
+    ``partial_kpi`` is the KPI over every row scored so far, so streaming
+    clients watch the estimate converge to the exact final value.
     """
     n_rows = manager.driver_matrix().shape[0]
-    ranges = split_ranges(n_rows, executor.workers)
+    ranges = unit_ranges(n_rows, executor, SENSITIVITY_CHUNK_ROWS)
     wire = perturbations.to_list()
-    units = [
-        ("sensitivity_rows", {"perturbations": wire, "start": start, "stop": stop})
-        for start, stop in ranges
-    ]
+    scored: dict[int, np.ndarray] = {}
 
-    def on_unit_done(unit_index: int, _result) -> None:
-        start, stop = ranges[unit_index]
+    def on_unit_done(index: int, rows: np.ndarray) -> None:
+        scored[index] = rows
+        so_far = np.concatenate([scored[i] for i in sorted(scored)])
         emit(
             "sensitivity_chunk",
-            {"rows": [start, stop], "n_rows": n_rows, "unit": unit_index},
+            {
+                "rows": list(ranges[index]),
+                "rows_scored": int(so_far.shape[0]),
+                "n_rows": n_rows,
+                "unit": index,
+                "partial_kpi": float(manager.kpi.aggregate(so_far)),
+            },
         )
 
     parts = executor.run_units(
         manager,
-        units,
+        [
+            (sensitivity_rows_unit, {"perturbations": wire, "rows": [start, stop]})
+            for start, stop in ranges
+        ],
         checkpoint=checkpoint,
         weights=[stop - start for start, stop in ranges],
-        on_unit_done=on_unit_done if emit is not None else None,
+        on_unit_done=on_unit_done,
     )
     rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
     return float(manager.kpi.aggregate(rows))
@@ -186,18 +242,16 @@ def run_sensitivity(
     perturbations:
         The perturbation set to apply to every row.
     checkpoint:
-        Optional progress/cancellation callback; when given, the perturbed
-        prediction runs in row chunks (bitwise identical to the single-shot
-        path) and ``checkpoint`` is called with the completed fraction after
-        each chunk.
+        Optional progress/cancellation callback, called once per row-range
+        work unit with the completed fraction.
     executor:
-        Optional process executor; when given, the perturbed prediction is
-        partitioned into row-range work units scored by worker processes
-        (bitwise identical — see :func:`_sensitivity_kpi_units`).
+        Optional executor for the row-range work units (default
+        :data:`INLINE` when a checkpoint is given).  Without either, the
+        perturbed prediction runs as one single-shot pass.
     emit:
         Optional event publisher (``emit(type, data)``, the job context's
-        :meth:`~repro.engine.job.JobContext.emit`); chunked paths publish
-        ``sensitivity_chunk`` events for streaming clients.
+        :meth:`~repro.engine.job.JobContext.emit`); every finished unit
+        publishes a ``sensitivity_chunk`` event.
     """
     unknown = [p.driver for p in perturbations if p.driver not in manager.drivers]
     if unknown:
@@ -206,16 +260,11 @@ def run_sensitivity(
             f"available drivers: {manager.drivers}"
         )
     original_kpi = manager.baseline_kpi()
-    if executor is not None:
-        perturbed_kpi = _sensitivity_kpi_units(
-            manager, perturbations, executor, checkpoint, emit
-        )
-    elif checkpoint is None:
+    if executor is None and checkpoint is None:  # bare call: one single-shot pass
         perturbed_kpi = manager.predict_kpi_matrix(manager.perturbed_matrix(perturbations))
     else:
-        checkpoint(0.0)
-        perturbed_kpi = _predict_kpi_chunked(
-            manager, manager.perturbed_matrix(perturbations), checkpoint, emit=emit
+        perturbed_kpi = _sensitivity_kpi_units(
+            manager, perturbations, executor or INLINE, checkpoint, emit or ignore
         )
     return SensitivityResult(
         kpi=manager.kpi.name,
@@ -227,61 +276,50 @@ def run_sensitivity(
     )
 
 
-def _comparison_point_events(
-    work: list[tuple[str, float]], start: int, values: np.ndarray
-) -> dict[str, Any]:
-    """``comparison_chunk`` payload for the sweep points ``work[start:...]``."""
-    return {
-        "points": [
-            {"driver": driver, "amount": amount, "kpi_value": float(value)}
-            for (driver, amount), value in zip(work[start : start + len(values)], values)
-        ],
-        "start": start,
-        "n_points": len(work),
-    }
-
-
 def _comparison_kpis_units(
     manager: ModelManager,
     work: list[tuple[str, float]],
     mode: str,
     executor,
     checkpoint: Callable[[float], None] | None,
-    emit: Callable[..., None] | None = None,
-) -> np.ndarray:
-    """Comparison-sweep KPIs computed as point-range units on an executor.
+    emit: Callable[..., None],
+) -> list[float]:
+    """Comparison-sweep KPIs computed as perturbation-set units on ``executor``.
 
-    Each (driver, amount) matrix is predicted and aggregated independently,
-    so concatenating per-range KPI arrays in range order reproduces the
-    one-shot batch bitwise.
+    Every finished unit publishes a ``comparison_chunk`` event carrying its
+    scored (driver, amount, kpi) points.
     """
-    if not work:
-        if checkpoint is not None:
-            checkpoint(0.0)
-        return np.array([])
-    ranges = split_ranges(len(work), executor.workers)
+    ranges = unit_ranges(len(work), executor, COMPARISON_CHUNK_MATRICES)
     units = [
         (
-            "comparison_kpis",
-            {
-                "pairs": [[driver, amount] for driver, amount in work[start:stop]],
-                "mode": mode,
-            },
+            perturbation_sets_unit,
+            {"sets": [[Perturbation(d, a, mode).to_dict()] for d, a in work[start:stop]]},
         )
         for start, stop in ranges
     ]
-    def on_unit_done(unit_index: int, result) -> None:
-        start, _stop = ranges[unit_index]
-        emit("comparison_chunk", _comparison_point_events(work, start, np.asarray(result)))
+
+    def on_unit_done(index: int, values: np.ndarray) -> None:
+        start = ranges[index][0]
+        emit(
+            "comparison_chunk",
+            {
+                "points": [
+                    {"driver": driver, "amount": amount, "kpi_value": float(value)}
+                    for (driver, amount), value in zip(work[start:], values)
+                ],
+                "start": start,
+                "n_points": len(work),
+            },
+        )
 
     parts = executor.run_units(
         manager,
         units,
         checkpoint=checkpoint,
         weights=[stop - start for start, stop in ranges],
-        on_unit_done=on_unit_done if emit is not None else None,
+        on_unit_done=on_unit_done,
     )
-    return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
+    return [value for part in parts for value in part]
 
 
 def run_comparison(
@@ -307,16 +345,16 @@ def run_comparison(
     mode:
         Perturbation mode shared by the sweep.
     checkpoint:
-        Optional progress/cancellation callback; when given, the stacked
-        sweep is evaluated a few matrices at a time (bitwise identical to
-        the one-shot batch) with a checkpoint between chunks.
+        Optional progress/cancellation callback, called once per work unit
+        of (driver, amount) points with the completed fraction.
     executor:
-        Optional process executor; when given, the sweep's (driver, amount)
-        points are partitioned into range units worker processes evaluate
-        (bitwise identical — see :func:`_comparison_kpis_units`).
+        Optional executor for those units (default :data:`INLINE` when a
+        checkpoint is given).  Without either, the whole sweep is scored in
+        one stacked kernel traversal.
     emit:
-        Optional event publisher; chunked paths publish ``comparison_chunk``
-        events carrying each chunk's scored (driver, amount, kpi) points.
+        Optional event publisher; every finished unit publishes a
+        ``comparison_chunk`` event with its scored (driver, amount, kpi)
+        points.
 
     Returns
     -------
@@ -333,37 +371,24 @@ def run_comparison(
     original_kpi = manager.baseline_kpi()
     sweep = [(driver, float(amount)) for driver in chosen for amount in amounts]
     work = [pair for pair in sweep if pair[1] != 0]
-    if executor is not None:
+    if executor is None and checkpoint is None:  # bare call: one stacked batch
+        baseline_matrix = manager.driver_matrix()
         kpis = iter(
-            _comparison_kpis_units(manager, work, mode, executor, checkpoint, emit)
+            manager.predict_kpi_batch(
+                [
+                    Perturbation(driver, amount, mode).apply_to_matrix(
+                        baseline_matrix, manager.drivers
+                    )
+                    for driver, amount in work
+                ]
+            )
         )
     else:
-        # build every perturbed matrix up front, then evaluate the whole sweep
-        # in one stacked kernel traversal instead of one model call per point
-        baseline_matrix = manager.driver_matrix()
-        matrices = [
-            Perturbation(driver, amount, mode).apply_to_matrix(
-                baseline_matrix, manager.drivers
+        kpis = iter(
+            _comparison_kpis_units(
+                manager, work, mode, executor or INLINE, checkpoint, emit or ignore
             )
-            for driver, amount in work
-        ]
-        if checkpoint is None:
-            kpis = iter(manager.predict_kpi_batch(matrices))
-        else:
-            checkpoint(0.0)
-            on_chunk = (
-                (
-                    lambda start, values: emit(
-                        "comparison_chunk",
-                        _comparison_point_events(work, start, values),
-                    )
-                )
-                if emit is not None
-                else None
-            )
-            kpis = iter(
-                _predict_kpi_batch_chunked(manager, matrices, checkpoint, on_chunk=on_chunk)
-            )
+        )
     points = [
         ComparisonPoint(
             driver=driver,

@@ -301,8 +301,8 @@ class WhatIfSession:
         ``perturbations`` may be a ready :class:`PerturbationSet` or a simple
         ``{driver: amount}`` mapping interpreted in ``mode``.  Pass
         ``track_as`` to record the outcome as a named scenario; ``checkpoint``
-        threads progress/cancellation through the chunked prediction and
-        ``executor`` fans the prediction out across worker processes.
+        threads progress/cancellation through the row-range work units and
+        ``executor`` fans them out across worker processes.
         """
         perturbation_set = self._as_perturbation_set(perturbations, mode)
         result = run_sensitivity(

@@ -10,12 +10,9 @@ decouples request handling from analysis execution:
 * :mod:`~repro.engine.pool` — a thread-based :class:`WorkerPool` draining a
   priority queue;
 * :mod:`~repro.engine.process` — a spawn-safe :class:`ProcessExecutor` that
-  fans the CPU-bound job kinds out across persistent worker processes
-  (escaping the GIL), shipping fitted models once per fingerprint and
-  threading cancellation/progress over the process boundary;
-* :mod:`~repro.engine.units` — the picklable work units those processes
-  execute, decomposed so merged results stay bitwise identical to the
-  serial paths;
+  fans the CPU-bound job kinds' work units out across persistent worker
+  processes (escaping the GIL), shipping fitted models once per fingerprint
+  and threading cancellation/progress over the process boundary;
 * :mod:`~repro.engine.events` — a per-job :class:`JobEventBus` (bounded
   ring buffers, monotonic sequence ids, replay-from-seq, multi-subscriber
   fan-out) that jobs publish progress ticks, incremental result chunks, and

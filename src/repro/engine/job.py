@@ -338,7 +338,7 @@ class JobContext:
     @property
     def executor(self) -> Any:
         """The process executor this job's runner should fan work out to
-        (``None`` for thread-local execution — the serial runner paths)."""
+        (``None`` for thread jobs, whose runners use the inline executor)."""
         return self._executor
 
     @property

@@ -3,15 +3,23 @@
 The threaded :class:`~repro.engine.pool.WorkerPool` keeps the protocol
 responsive but cannot parallelise CPU-bound analysis — the GIL serialises
 model scoring, so ``worker_speedup`` sits near 1.0 however many threads run.
-:class:`ProcessExecutor` runs work units (see :mod:`repro.engine.units`) in a
-persistent pool of ``spawn``-ed worker processes instead:
+:class:`ProcessExecutor` runs work units in a persistent pool of
+``spawn``-ed worker processes instead.  A unit is a ``(function, payload)``
+pair: a module-level function beside the algorithm it splits (sensitivity
+rows and perturbation sets in :mod:`repro.core.sensitivity`, grid blocks in
+:mod:`repro.scenarios.planner`, whole goal inversions and driver-importance
+runs in their own modules) and a payload of plain values.  Pickle ships the
+function by reference; a worker calls ``function(manager, payload,
+checkpoint)`` exactly as :class:`~repro.core.sensitivity.InlineExecutor`
+does on the calling thread, so both executors run the same decomposition:
 
 * **Fingerprint-keyed model shipping.**  Each worker holds a per-process
   mirror of the parent's model cache keyed by
   :meth:`ModelManager.fingerprint`.  The fitted manager (model, kernel
-  arrays, memoised matrices) is pickled onto a worker's task queue only the
-  first time that (worker, fingerprint) pair meets; every later unit for the
-  same fingerprint reuses the hydrated mirror — never re-pickled per chunk.
+  arrays, memoised matrices) is pickled once, on the calling thread, and its
+  bytes go onto a worker's task queue only the first time that (worker,
+  fingerprint) pair meets; every later unit for the same fingerprint reuses
+  the hydrated mirror — never re-pickled per chunk.
 * **Cooperative cancellation.**  Every in-flight ``run_units`` group owns a
   slot in a shared ``RawArray`` of cancel flags (inherited by workers at
   spawn; shared ctypes cannot travel through queues).  The parent flips the
@@ -39,16 +47,17 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import pickle
 import queue
 import threading
 import time
 from collections.abc import Callable, Sequence
 from typing import Any
 
+from ..core.sensitivity import ignore
 from ..obs import metrics, trace
-from .units import UnitCancelled, run_unit
 
-__all__ = ["ProcessExecutor", "WorkerUnitError"]
+__all__ = ["ProcessExecutor", "UnitCancelled", "WorkerUnitError"]
 
 #: Maximum number of concurrently-active ``run_units`` groups (cancel slots).
 _MAX_GROUPS = 64
@@ -63,9 +72,27 @@ _PROGRESS_DELTA = 0.01
 _WORKER_UNITS = metrics.counter("repro_worker_units_total")
 _WORKER_SHIPS = metrics.counter("repro_worker_model_ships_total")
 
+#: Serialises every manager pickle in the process.  CPython builds an
+#: instance's ``__dict__`` lazily, on first request, and two threads pickling
+#: one freshly fitted model at once can each build it for the same tree node:
+#: the loser's dict leaks still aliasing the node's attribute storage, which
+#: the garbage collector later reads after the node is freed.
+_PICKLE_LOCK = threading.Lock()
+
+
+def _pickle_manager(manager) -> bytes:
+    """The bytes shipped to a worker for ``manager`` (one thread at a time)."""
+    with _PICKLE_LOCK:
+        return pickle.dumps(manager, protocol=pickle.HIGHEST_PROTOCOL)
+
 
 class WorkerUnitError(RuntimeError):
     """A work unit raised inside a worker, or its worker process died."""
+
+
+class UnitCancelled(Exception):
+    """Raised inside a worker checkpoint when the unit's group was cancelled
+    via the shared flag; the worker loop reports the unit as ``cancelled``."""
 
 
 def _worker_main(worker_index, task_queue, result_queue, cancel_flags):
@@ -85,7 +112,7 @@ def _worker_main(worker_index, task_queue, result_queue, cancel_flags):
         task = task_queue.get()
         if task is None:
             break
-        group_id, unit_index, slot, fingerprint, kind, payload, shipped, ctx = task
+        group_id, unit_index, slot, fingerprint, function, payload, shipped, ctx = task
         spans: list[dict[str, Any]] = []
         try:
             with trace.capture() as spans, trace.activate(
@@ -94,7 +121,7 @@ def _worker_main(worker_index, task_queue, result_queue, cancel_flags):
                 with trace.span("unit", worker=worker_index, unit=unit_index):
                     if shipped is not None:
                         with trace.span("ship", fingerprint=fingerprint[:12]):
-                            models[fingerprint] = shipped
+                            models[fingerprint] = pickle.loads(shipped)
                     manager = models.get(fingerprint)
                     if manager is None:
                         raise RuntimeError(
@@ -115,7 +142,8 @@ def _worker_main(worker_index, task_queue, result_queue, cancel_flags):
                                 ("progress", worker_index, group_id, unit_index, fraction)
                             )
 
-                    result = run_unit(manager, kind, payload, checkpoint)
+                    with trace.span("score", unit_kind=function.__name__):
+                        result = function(manager, payload, checkpoint)
             outcome = ("done", result)
         except UnitCancelled:
             outcome = ("cancelled", None)
@@ -142,7 +170,8 @@ class _Group:
 
 
 class ProcessExecutor:
-    """Persistent spawn-based process pool executing registered work units."""
+    """Persistent spawn-based process pool executing ``(function, payload)``
+    work units."""
 
     kind = "process"
 
@@ -244,6 +273,9 @@ class ProcessExecutor:
                     task_queue.put(None)
                 except Exception:  # pragma: no cover - queue already closed
                     pass
+                # a worker terminated before reading its tasks leaves the
+                # feeder blocked on a full pipe: never join it at exit
+                task_queue.cancel_join_thread()
         if wait:
             deadline = time.monotonic() + timeout
             for process in processes:
@@ -263,7 +295,7 @@ class ProcessExecutor:
     def run_units(
         self,
         manager,
-        units: Sequence[tuple[str, dict[str, Any]]],
+        units: Sequence[tuple[Callable[..., Any], dict[str, Any]]],
         *,
         checkpoint: Callable[[float], None] | None = None,
         progress: tuple[float, float] = (0.0, 1.0),
@@ -286,6 +318,8 @@ class ProcessExecutor:
         """
         if not units:
             return []
+        tick = checkpoint or ignore
+        tick(progress[0])  # honours cancel-before-start: nothing is enqueued
         self.ensure_started()
         fingerprint = manager.fingerprint()
         # The job span's picklable address: workers re-root their unit spans
@@ -299,6 +333,15 @@ class ProcessExecutor:
         total_weight = sum(unit_weights) or 1.0
         base, top = progress
         span = top - base
+        # Pickle the manager here, once, rather than leave it to the task
+        # queues' feeder threads: they would pickle it once per shipped
+        # worker, concurrently (see _PICKLE_LOCK).
+        with self._lock:
+            must_ship = any(
+                fingerprint not in shipped
+                for shipped in self._shipped[: min(n_units, self.workers)]
+            )
+        blob = _pickle_manager(manager) if must_ship else None
 
         with self._lock:
             if self._stopping:
@@ -316,10 +359,12 @@ class ProcessExecutor:
             # Enqueue under the lock: mp.Queue.put only hands off to the
             # feeder thread, and this keeps (incarnation, shipped, queue)
             # consistent against a concurrent worker respawn.
-            for unit_index, (kind, payload) in enumerate(units):
+            for unit_index, (function, payload) in enumerate(units):
                 worker_index = unit_index % self.workers
                 ship = fingerprint not in self._shipped[worker_index]
                 if ship:
+                    if blob is None:  # the worker respawned since the check above
+                        blob = _pickle_manager(manager)
                     self._shipped[worker_index].add(fingerprint)
                     self._ships[worker_index] += 1
                     _WORKER_SHIPS.labels(worker_index).inc()
@@ -334,9 +379,9 @@ class ProcessExecutor:
                         unit_index,
                         slot,
                         fingerprint,
-                        kind,
+                        function,
                         payload,
-                        manager if ship else None,
+                        blob if ship else None,
                         trace_ctx,
                     )
                 )
@@ -345,13 +390,10 @@ class ProcessExecutor:
         results: dict[int, Any] = {}
 
         def publish() -> None:
-            if checkpoint is None:
-                return
             done_weight = sum(f * w for f, w in zip(fractions, unit_weights))
-            checkpoint(base + span * (done_weight / total_weight))
+            tick(base + span * (done_weight / total_weight))
 
         try:
-            publish()  # honours cancel-before-start via the job checkpoint
             last_message = time.monotonic()
             while len(results) < n_units:
                 try:

@@ -29,10 +29,10 @@ floats the per-scenario traversal would read, and trees accumulate in
 ensemble order.  Every ``(scenario, row)`` prediction — and every KPI
 aggregated from them — therefore matches
 :meth:`~repro.core.model_manager.ModelManager.predict_kpi_matrix` bit for
-bit.  The planner falls back to chunked
-:meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` whenever the
-kernel does not apply (non-forest models, sampled or constrained spaces); the
-KPI values are identical either way, only the speed differs.
+bit.  The planner scores with batched
+:meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` units whenever
+the kernel does not apply (non-forest models, sampled or constrained spaces);
+the KPI values are identical either way, only the speed differs.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..core.model_manager import ModelManager
+from ..core.sensitivity import ignore
 from .space import ScenarioSpace
 
 __all__ = ["grid_sweep_kpis", "grid_kernel_applies", "MAX_GRID_CELLS", "MAX_AXIS_LEVELS"]
@@ -51,7 +52,7 @@ __all__ = ["grid_sweep_kpis", "grid_kernel_applies", "MAX_GRID_CELLS", "MAX_AXIS
 MAX_GRID_CELLS = 32_000_000
 
 #: Levels per axis the kernel supports (its lane boxes and decision cuts are
-#: int16); longer axes fall back to the chunked path.
+#: int16); longer axes are scored by batched perturbation-set units.
 MAX_AXIS_LEVELS = 32_000
 
 
@@ -80,16 +81,14 @@ def grid_sweep_kpis(
     manager: ModelManager,
     space: ScenarioSpace,
     *,
-    checkpoint: Callable[[float], None] | None = None,
-    progress_share: float = 1.0,
+    checkpoint: Callable[[float], None] = ignore,
 ) -> np.ndarray | None:
     """KPIs of every grid scenario in enumeration order, or None if the
     kernel does not apply.
 
     Applies to exhaustive, unconstrained spaces scored by a kernel-compiled
     forest classifier (the model family every discrete-KPI session trains).
-    ``checkpoint`` is called after each tree with the completed fraction
-    scaled by ``progress_share``.
+    ``checkpoint`` is called after each tree with the completed fraction.
     """
     if not grid_kernel_applies(manager, space):
         return None
@@ -295,8 +294,7 @@ def grid_sweep_kpis(
             )[:total_cells]
         )
         aggregate += leaf_payload[surface.astype(np.intp)]
-        if checkpoint is not None:
-            checkpoint(progress_share * (tree_index + 1) / kernel.n_trees)
+        checkpoint((tree_index + 1) / kernel.n_trees)
 
     predictions = aggregate / kernel.n_trees
 

@@ -1,14 +1,21 @@
 """The sweep planner: score whole scenario spaces in batched matrix form.
 
 Where :func:`~repro.core.sensitivity.run_sensitivity` answers one what-if
-question per call, :class:`SweepPlanner` answers thousands: it enumerates a
-:class:`~repro.scenarios.space.ScenarioSpace`, compiles every scenario in a
-chunk into one stacked perturbation matrix, and scores the stack through
-:meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` — one kernel
-pass per chunk instead of a Python loop of sensitivity calls.  The KPI values
-are **bitwise identical** to running the per-scenario sensitivity path
-(chunks only regroup matrices whose per-row predictions are independent), so
-a sweep is a pure batching win, never an approximation.
+question per call, :class:`SweepPlanner` answers thousands: it enumerates and
+prunes a :class:`~repro.scenarios.space.ScenarioSpace` once, then scores it
+as work units (see :mod:`repro.core.sensitivity`) on the caller's executor:
+
+* exhaustive grids the grid kernel applies to split into blocks of the
+  outermost axis, one per executor worker — inline that is the whole grid in
+  one :func:`~repro.scenarios.kernel.grid_sweep_kpis` call;
+* every other space splits into lists of scenario perturbation sets, at most
+  :data:`SWEEP_CHUNK_SCENARIOS` per unit, each scored by one
+  :meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` call; a
+  grid block the kernel declines is re-scored the same way.
+
+The KPI values are **bitwise identical** to running the per-scenario
+sensitivity path (units only regroup matrices whose per-row predictions are
+independent), so a sweep is a pure batching win, never an approximation.
 
 Results land as a ranked :class:`SweepResult`:
 
@@ -20,7 +27,7 @@ Results land as a ranked :class:`SweepResult`:
   per-cohort model is materialised).
 
 The ``checkpoint`` callable threads the async engine's progress/cancellation
-through the chunk loop exactly like the other analysis runners.
+through the units exactly like the other analysis runners.
 """
 
 from __future__ import annotations
@@ -32,19 +39,26 @@ from typing import Any
 import numpy as np
 
 from ..core.model_manager import ModelManager
-from ..core.sensitivity import split_ranges
+from ..core.sensitivity import INLINE, ignore, perturbation_sets_unit, split_ranges, unit_ranges
 from ..frame.kernels import group_index
 from .kernel import grid_kernel_applies, grid_sweep_kpis
-from .space import ScenarioSpace, SweepScenario
+from .space import Axis, ScenarioSpace, SweepScenario
 
-__all__ = ["SweepEntry", "SweepResult", "SweepPlanner", "run_sweep", "SWEEP_GOALS"]
+__all__ = [
+    "SweepEntry",
+    "SweepResult",
+    "SweepPlanner",
+    "run_sweep",
+    "grid_block_unit",
+    "SWEEP_GOALS",
+]
 
 #: Goals a sweep can rank by.
 SWEEP_GOALS = ("maximize", "minimize")
 
-#: Scenarios compiled and scored per kernel pass.  Each chunk stacks this
-#: many perturbed copies of the driver matrix, so the working set stays in
-#: cache while the per-call overhead amortises across the whole chunk.
+#: Scenarios per perturbation-set unit.  Each unit stacks this many perturbed
+#: copies of the driver matrix, so the working set stays in cache while the
+#: per-call overhead amortises across the whole unit.
 SWEEP_CHUNK_SCENARIOS = 64
 
 #: Largest sweep whose raw per-scenario KPI surface is embedded in
@@ -237,20 +251,18 @@ class SweepPlanner:
     ) -> SweepResult:
         """Enumerate, score, rank, and profile the space.
 
-        ``checkpoint`` is called with the completed fraction after every
-        scored chunk (and during the cohort breakdown), publishing progress
-        and honouring cooperative cancellation between kernel passes.  With
-        ``executor`` (a process executor), scoring is partitioned into
-        contiguous sub-range work units scored by worker processes and merged
-        in enumeration order — bitwise identical to the serial paths.
+        Scoring runs as work units on ``executor`` (default
+        :data:`~repro.core.sensitivity.INLINE`), merged in enumeration order
+        — bitwise identical on every executor.  ``checkpoint`` is called
+        with the completed fraction as units finish (and during the cohort
+        breakdown), publishing progress and honouring cooperative
+        cancellation between kernel passes.
 
-        ``emit`` (the job context's event publisher) streams incremental
-        ``sweep_chunk`` events — one per scored chunk or completed work
-        unit, carrying the enumeration range and the running best scenario —
-        so subscribers watch the frontier improve live.  The serial grid
-        kernel accumulates KPIs across trees and only yields the complete
-        surface at the end, so that path publishes progress ticks but no
-        partial frontiers.
+        ``emit`` (the job context's event publisher) streams one
+        ``sweep_chunk`` event per finished unit, carrying the enumeration
+        range and the running best scenario, so subscribers watch the
+        frontier improve live.  Perturbation-set units also carry their
+        ``kpi_values``; grid blocks send ``None`` there.
         """
         scenarios = self.space.scenarios()
         if not scenarios:
@@ -258,9 +270,8 @@ class SweepPlanner:
                 "the scenario space is empty after constraint pruning; "
                 "relax the constraints or widen the axes"
             )
-        if checkpoint is not None:
-            checkpoint(0.0)
-        kpis = self._score(scenarios, checkpoint, executor=executor, emit=emit)
+        checkpoint = checkpoint or ignore
+        kpis = self._score(scenarios, executor or INLINE, checkpoint, emit or ignore)
         order = self._rank(kpis)
         baseline = self.manager.baseline_kpi()
         top = self._frontier(scenarios, kpis, order, baseline)
@@ -292,69 +303,106 @@ class SweepPlanner:
     def _score(
         self,
         scenarios: list[SweepScenario],
-        checkpoint: Callable[[float], None] | None,
-        *,
-        chunk_scenarios: int | None = None,
-        executor=None,
-        emit: Callable[..., None] | None = None,
+        executor,
+        checkpoint: Callable[[float], None],
+        emit: Callable[..., None],
     ) -> np.ndarray:
-        """Score every scenario in batched matrix form.
+        """Score every scenario as work units, in enumeration order.
 
-        Exhaustive grid spaces on kernel-compiled forests go through the
-        grid kernel — one box-propagating traversal per tree for the whole
-        space (see :mod:`repro.scenarios.kernel`).  Everything else falls
-        back to stacked ``predict_kpi_batch`` chunks.  Both paths regroup
-        work without moving a single bit of any KPI value, so results are
-        identical to the per-scenario sensitivity path either way.
+        Exhaustive kernel-eligible grids split along the canonical
+        *outermost* axis (the first of the driver-name-sorted axes): its
+        levels vary slowest in :meth:`ScenarioSpace.scenarios`, so a level
+        block ``[lo, hi)`` is exactly the enumeration slice
+        ``[lo * inner, hi * inner)`` and the grid kernel scores each block
+        independently.  A block the kernel declines is re-scored as
+        perturbation-set units inside its own share of the progress bar.
         """
-        if chunk_scenarios is None:  # read at call time so tests can shrink chunks
-            chunk_scenarios = SWEEP_CHUNK_SCENARIOS
-        manager = self.manager
         # the cohort phase owns the tail of the progress bar when requested
-        scored_share = 0.9 if self.cohort_column is not None else 1.0
-        if executor is not None:
-            unit_kpis = self._score_units(
-                scenarios, checkpoint, executor, scored_share, emit
-            )
-            if unit_kpis is not None:
-                return unit_kpis
-        grid_kpis = grid_sweep_kpis(
-            manager,
-            self.space,
-            checkpoint=checkpoint,
-            progress_share=scored_share,
-        )
-        if grid_kpis is not None:
-            return grid_kpis
-        baseline_matrix = manager.driver_matrix()
-        kpis = np.empty(len(scenarios))
+        share = 0.9 if self.cohort_column is not None else 1.0
+        # on_unit_done fires on this (the job's) thread, so the running-best
+        # accumulator needs no locking even when units finish out of order
         running_best: dict[str, Any] = {}
-        for start in range(0, len(scenarios), chunk_scenarios):
-            chunk = scenarios[start : start + chunk_scenarios]
-            matrices = [
-                self.space.perturbations(scenario).apply_to_matrix(
-                    baseline_matrix, manager.drivers
+        scored = [0]
+
+        def publish(start: int, stop: int, kpis, include_values: bool) -> None:
+            scored[0] += stop - start
+            emit(
+                "sweep_chunk",
+                self._frontier_chunk(
+                    scenarios,
+                    kpis,
+                    start,
+                    stop,
+                    scored=scored[0],
+                    total=len(scenarios),
+                    running_best=running_best,
+                    include_values=include_values,
+                ),
+            )
+
+        if not grid_kernel_applies(self.manager, self.space):
+            return self._score_sets(
+                scenarios, (0, len(scenarios)), executor, checkpoint, (0.0, share), publish
+            )
+        levels = len(self.space.axes[0].amounts)
+        inner = self.space.size // levels
+        blocks = split_ranges(levels, executor.workers)
+        spans = [(lo * inner, hi * inner) for lo, hi in blocks]
+        space = self.space.to_dict()
+        parts: list[Any] = [None] * len(blocks)
+
+        def on_block_done(index: int, kpis) -> None:
+            start, stop = spans[index]
+            if kpis is None:  # the kernel declined this block
+                progress = (share * start / len(scenarios), share * stop / len(scenarios))
+                kpis = self._score_sets(
+                    scenarios, spans[index], executor, checkpoint, progress, publish
                 )
-                for scenario in chunk
-            ]
-            kpis[start : start + len(chunk)] = manager.predict_kpi_batch(matrices)
-            if checkpoint is not None:
-                checkpoint(scored_share * (start + len(chunk)) / len(scenarios))
-            if emit is not None:
-                emit(
-                    "sweep_chunk",
-                    self._frontier_chunk(
-                        scenarios,
-                        kpis[start : start + len(chunk)],
-                        start,
-                        start + len(chunk),
-                        scored=start + len(chunk),
-                        total=len(scenarios),
-                        running_best=running_best,
-                        include_values=True,
-                    ),
-                )
-        return kpis
+            else:
+                publish(start, stop, kpis, include_values=False)
+            parts[index] = kpis
+
+        executor.run_units(
+            self.manager,
+            [(grid_block_unit, {"space": space, "levels": [lo, hi]}) for lo, hi in blocks],
+            checkpoint=checkpoint,
+            progress=(0.0, share),
+            weights=[stop - start for start, stop in spans],
+            on_unit_done=on_block_done,
+        )
+        return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
+
+    def _score_sets(
+        self,
+        scenarios: list[SweepScenario],
+        span: tuple[int, int],
+        executor,
+        checkpoint: Callable[[float], None],
+        progress: tuple[float, float],
+        publish: Callable[..., None],
+    ) -> np.ndarray:
+        """Score enumeration slice ``span`` as perturbation-set units."""
+        first, last = span
+        ranges = [
+            (first + lo, first + hi)
+            for lo, hi in unit_ranges(last - first, executor, SWEEP_CHUNK_SCENARIOS)
+        ]
+        units = [
+            (
+                perturbation_sets_unit,
+                {"sets": [self.space.perturbations(s).to_list() for s in scenarios[lo:hi]]},
+            )
+            for lo, hi in ranges
+        ]
+        parts = executor.run_units(
+            self.manager,
+            units,
+            checkpoint=checkpoint,
+            progress=progress,
+            weights=[hi - lo for lo, hi in ranges],
+            on_unit_done=lambda index, kpis: publish(*ranges[index], kpis, True),
+        )
+        return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
 
     def _frontier_chunk(
         self,
@@ -372,9 +420,9 @@ class SweepPlanner:
         scenario into the caller's ``running_best`` accumulator.
 
         Strictly-better comparisons keep tie resolution aligned with the
-        final frontier's stable ranking when chunks arrive in enumeration
-        order (the serial path); out-of-order unit completions may break a
-        tie differently, which only affects the advisory live view — the
+        final frontier's stable ranking when units finish in enumeration
+        order (the inline executor); out-of-order pool completions may break
+        a tie differently, which only affects the advisory live view — the
         terminal result is always the exactly-ranked frontier.
         """
         part = np.asarray(part, dtype=np.float64)
@@ -398,88 +446,6 @@ class SweepPlanner:
             "kpi_values": [float(v) for v in part] if include_values else None,
             "best": dict(running_best),
         }
-
-    def _score_units(
-        self,
-        scenarios: list[SweepScenario],
-        checkpoint: Callable[[float], None] | None,
-        executor,
-        scored_share: float,
-        emit: Callable[..., None] | None = None,
-    ) -> np.ndarray | None:
-        """Score the space as contiguous sub-range units on a process executor.
-
-        Exhaustive kernel-eligible grids are partitioned along the canonical
-        *outermost* axis (the first of the driver-name-sorted axes): its
-        levels vary slowest in :meth:`ScenarioSpace.scenarios`, so a level
-        block ``[lo, hi)`` is exactly the enumeration slice
-        ``[lo * inner, hi * inner)`` and the grid kernel scores each block
-        independently.  Other spaces split into enumeration-index ranges that
-        workers re-enumerate deterministically.  Either way the per-unit KPI
-        arrays concatenate in dispatch order into the identical enumeration-
-        order surface the serial ``_score`` produces, so frontier, marginals,
-        and cohort ranking downstream are bitwise unchanged.
-
-        Returns ``None`` when the space cannot travel over the wire (callable
-        constraints don't serialise) — the caller then stays in-process.
-        """
-        space = self.space
-        payload = space.to_dict()
-        try:
-            ScenarioSpace.from_dict(payload)
-        except (TypeError, ValueError, KeyError):
-            return None
-        if grid_kernel_applies(self.manager, space):
-            head = space.axes[0]
-            levels = len(head.amounts)
-            inner = space.size // levels
-            blocks = split_ranges(levels, executor.workers)
-            units = [
-                ("sweep_grid_block", {"space": payload, "lo": lo, "hi": hi})
-                for lo, hi in blocks
-            ]
-            weights = [(hi - lo) * inner for lo, hi in blocks]
-            enum_ranges = [(lo * inner, hi * inner) for lo, hi in blocks]
-        else:
-            ranges = split_ranges(len(scenarios), executor.workers)
-            units = [
-                ("sweep_slice", {"space": payload, "start": start, "stop": stop})
-                for start, stop in ranges
-            ]
-            weights = [stop - start for start, stop in ranges]
-            enum_ranges = ranges
-        # on_unit_done fires on this (the job's) thread from the run_units
-        # waiter loop, so the running-best accumulator needs no locking even
-        # though units complete in any order across worker processes
-        running_best: dict[str, Any] = {}
-        scored_units = {"count": 0}
-
-        def on_unit_done(unit_index: int, result) -> None:
-            start, stop = enum_ranges[unit_index]
-            scored_units["count"] += stop - start
-            emit(
-                "sweep_chunk",
-                self._frontier_chunk(
-                    scenarios,
-                    np.asarray(result, dtype=np.float64),
-                    start,
-                    stop,
-                    scored=scored_units["count"],
-                    total=len(scenarios),
-                    running_best=running_best,
-                    include_values=False,
-                ),
-            )
-
-        parts = executor.run_units(
-            self.manager,
-            units,
-            checkpoint=checkpoint,
-            progress=(0.0, scored_share),
-            weights=weights,
-            on_unit_done=on_unit_done if emit is not None else None,
-        )
-        return np.concatenate([np.asarray(part, dtype=np.float64) for part in parts])
 
     def _rank(self, kpis: np.ndarray) -> np.ndarray:
         """Scenario order best-to-worst (stable, so ties keep enumeration order)."""
@@ -546,7 +512,7 @@ class SweepPlanner:
         self,
         scenarios: list[SweepScenario],
         top: tuple[SweepEntry, ...],
-        checkpoint: Callable[[float], None] | None,
+        checkpoint: Callable[[float], None],
     ) -> dict[str, Any]:
         """Per-cohort KPI of the frontier scenarios.
 
@@ -580,8 +546,7 @@ class SweepPlanner:
                     ),
                 }
             )
-            if checkpoint is not None:
-                checkpoint(0.9 + 0.1 * position / len(top))
+            checkpoint(0.9 + 0.1 * position / len(top))
         return {
             "column": self.cohort_column,
             "cohort_sizes": dict(zip(labels, index.counts.tolist())),
@@ -620,3 +585,22 @@ def run_sweep(
         manager, space, goal=goal, top_k=top_k, cohort_column=cohort_column
     )
     return planner.run(checkpoint=checkpoint, executor=executor, emit=emit)
+
+
+def grid_block_unit(
+    manager: ModelManager, payload: dict[str, Any], checkpoint: Callable[[float], None]
+) -> np.ndarray | None:
+    """Grid-kernel KPIs of levels ``payload["levels"] = [lo, hi)`` of the
+    outermost axis of ``payload["space"]`` (a grid space's ``to_dict()``).
+
+    The block keeps every other axis whole, so its enumeration is exactly the
+    ``[lo * inner, hi * inner)`` slice of the full space's enumeration.
+    Returns ``None`` when the kernel declines the block.
+    """
+    space = ScenarioSpace.from_dict(payload["space"])
+    lo, hi = payload["levels"]
+    head = space.axes[0]
+    block = ScenarioSpace(
+        [Axis(driver=head.driver, amounts=head.amounts[lo:hi], mode=head.mode), *space.axes[1:]]
+    )
+    return grid_sweep_kpis(manager, block, checkpoint=checkpoint)

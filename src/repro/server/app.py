@@ -66,10 +66,14 @@ from .protocol import (
 from .registry import DEFAULT_SESSION_ID, SessionRegistry, UnknownSessionError
 from .serialization import to_json_safe
 
-__all__ = ["SystemDServer", "serve_http", "SSE_KEEPALIVE_S"]
+__all__ = ["SystemDServer", "serve_http", "SSE_KEEPALIVE_S", "MAX_BODY_BYTES"]
 
 #: Requests remembered by the bounded request log.
 REQUEST_LOG_LIMIT = 1000
+
+#: Largest request body the HTTP adapter reads, in bytes.  A longer
+#: ``Content-Length`` is refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 #: Seconds between SSE keepalive comments when a job stream is idle.  The
 #: keepalive write is also how a dropped client is detected (the next write
@@ -648,12 +652,21 @@ class SystemDServer:
         self.engine.shutdown(wait=False)
 
 
+class _BodyRejected(Exception):
+    """A request body refused from its ``Content-Length`` alone."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class _SystemDHTTPHandler(BaseHTTPRequestHandler):
     """HTTP adapter serving the bare-POST protocol and the ``/api/v1`` routes.
 
     Every outcome — including malformed envelopes and internal faults — is a
     JSON response envelope with a meaningful status code: 200 for dispatched
-    bare-POST requests, 400 for bad envelopes, resource-route statuses
+    bare-POST requests, 400 for bad envelopes or a bad ``Content-Length``,
+    413 for bodies over :data:`MAX_BODY_BYTES`, resource-route statuses
     (200/201/400/404/409) on ``/api/v1``, 405/501 for unroutable methods (the
     ``send_error`` override keeps even stdlib-generated errors JSON), 500
     only for unexpected adapter errors — never a bare HTML traceback.  The
@@ -672,7 +685,19 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
         return parts.path, dict(parse_qsl(parts.query))
 
     def _read_body(self) -> str:
-        length = int(self.headers.get("Content-Length", 0) or 0)
+        """The request body, after checking ``Content-Length`` is a number
+        in ``[0, MAX_BODY_BYTES]`` (400 / 413 otherwise, nothing read)."""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _BodyRejected(400, f"invalid Content-Length: {declared!r}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyRejected(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         return self.rfile.read(length).decode("utf-8", errors="replace") if length else ""
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
@@ -684,6 +709,10 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
                 return
             status, response = self.backend.handle_http(body)
             payload = response.to_dict()
+        except _BodyRejected as exc:
+            self.close_connection = True  # the unread body must not be parsed as a request
+            self._send_json(exc.status, Response.failure(str(exc), kind="protocol").to_dict())
+            return
         except Exception as exc:  # noqa: BLE001 - the adapter must not emit tracebacks
             self._send_json(
                 500,

@@ -18,9 +18,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.sensitivity import split_ranges
+from repro.core.goal_inversion import goal_inversion_unit
+from repro.core.sensitivity import sensitivity_rows_unit, split_ranges
 from repro.engine import JobCancelled, ProcessExecutor, WorkerUnitError
-from repro.engine.units import run_unit
 from repro.server import SystemDServer
 
 pytestmark = pytest.mark.skipif(
@@ -33,7 +33,7 @@ def sensitivity_units(manager, parts=4):
     sweep runners dispatch, so these tests exercise the production codec)."""
     wire = [{"driver": manager.drivers[0], "amount": 25.0, "mode": "percentage"}]
     return [
-        ("sensitivity_rows", {"perturbations": wire, "start": start, "stop": stop})
+        (sensitivity_rows_unit, {"perturbations": wire, "rows": [start, stop]})
         for start, stop in split_ranges(manager.frame.n_rows, parts)
     ]
 
@@ -65,7 +65,7 @@ class TestExecution:
         units = sensitivity_units(manager)
         parallel = pool.run_units(manager, units)
         serial = [
-            run_unit(manager, kind, payload, lambda _f: None) for kind, payload in units
+            function(manager, payload, lambda _f: None) for function, payload in units
         ]
         for got, expected in zip(parallel, serial):
             assert np.array_equal(np.asarray(got), np.asarray(expected))
@@ -131,7 +131,7 @@ class TestCancellation:
             "optimizer": "random",
             "random_state": 0,
         }
-        units = [("goal_inversion", dict(payload, random_state=i)) for i in range(8)]
+        units = [(goal_inversion_unit, dict(payload, random_state=i)) for i in range(8)]
         with pytest.raises(JobCancelled):
             pool.run_units(manager, units, checkpoint=checkpoint)
         assert state["progressed"]

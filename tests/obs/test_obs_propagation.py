@@ -4,8 +4,9 @@ The headline guarantee of the tracing layer is that one trace stays
 connected across the process boundary: the request span opened in the
 server thread parents the job span, the job span's ``(trace_id, span_id)``
 pair ships inside every work unit, and the worker's ship/score spans come
-back stitched onto it.  These tests drive the real ``ProcessExecutor``
-through ``SystemDServer`` and assert on the assembled timeline.
+back stitched onto it.  Thread-executor jobs run the same units inline and
+open the same unit/score spans.  These tests drive both executors through
+``SystemDServer`` and assert on the assembled timeline.
 """
 
 from __future__ import annotations
@@ -32,15 +33,24 @@ def counter_total(name: str, **labels: str) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# process-boundary trace propagation
+# job timelines on both executors (process: across the process boundary)
 # --------------------------------------------------------------------------- #
-@pytest.mark.skipif(
-    not ProcessExecutor.available(), reason="spawn start method unavailable"
-)
-class TestProcessPropagation:
-    @pytest.fixture(scope="class")
-    def server(self):
-        server = SystemDServer(executor="process", engine_workers=2)
+class TestJobTimeline:
+    @pytest.fixture(
+        scope="class",
+        params=[
+            "thread",
+            pytest.param(
+                "process",
+                marks=pytest.mark.skipif(
+                    not ProcessExecutor.available(),
+                    reason="spawn start method unavailable",
+                ),
+            ),
+        ],
+    )
+    def server(self, request):
+        server = SystemDServer(executor=request.param, engine_workers=2)
         response = server.request(
             "load_use_case",
             use_case="deal_closing",
@@ -99,7 +109,9 @@ class TestProcessPropagation:
         assert request["parent_span_id"] == ""
         assert job["parent_span_id"] == request["span_id"]
 
-    def test_worker_counters_advance(self, timeline):
+    def test_worker_counters_advance(self, server, timeline):
+        if server.engine.executor_kind != "process":
+            pytest.skip("worker counters exist only on the process executor")
         assert timeline["ships_delta"] >= 1.0  # the model shipped at least once
         assert timeline["units_delta"] >= 1.0
 

@@ -32,6 +32,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 READY_TIMEOUT_S = 90.0
+DRAIN_TIMEOUT_S = 10.0
 DRIVER = "Open Marketing Email"
 
 pytestmark = pytest.mark.parametrize("executor", ["thread", "process"])
@@ -146,15 +147,27 @@ class ServerProc:
         stdout = self.proc.stdout
         if stdout is None:
             return
-        # non-blocking: every group member is dead, but never risk hanging on
-        # a pipe some straggler still holds
+        # Every group member has been sent SIGKILL, but a pool worker can
+        # still hold its copy of the pipe for a moment after the server is
+        # reaped.  Poll non-blocking reads until EOF, bounded, so such a
+        # straggler neither loses output nor hangs the test.
         os.set_blocking(stdout.fileno(), False)
-        try:
-            rest = stdout.read()
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
+        while True:
+            try:
+                rest = stdout.read()
+            except TypeError:
+                # the text layer decoding the buffered reader's "no data
+                # yet" (None): the pipe is open but empty, nothing consumed
+                rest = None
+            except (OSError, ValueError):
+                break
+            if rest == "" or time.monotonic() > deadline:
+                break
             if rest:
                 self.lines.extend(rest.splitlines(keepends=True))
-        except (OSError, ValueError):
-            pass
+            else:
+                time.sleep(0.05)
         stdout.close()
 
 

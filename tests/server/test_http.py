@@ -8,13 +8,16 @@ HTML tracebacks — and the async engine actions must work over the wire.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.server import serve_http
+from repro.server.app import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +42,46 @@ def post(base_url: str, body: str, timeout: float = 60.0):
             return response.status, json.loads(response.read().decode("utf-8"))
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read().decode("utf-8"))
+
+
+def post_declaring(base_url: str, content_length: str, timeout: float = 10.0):
+    """Send POST headers declaring ``content_length`` over a raw socket, with
+    no body; returns (status, decoded JSON envelope)."""
+    target = urlsplit(base_url)
+    with socket.create_connection((target.hostname, target.port), timeout=timeout) as sock:
+        sock.sendall(
+            (
+                f"POST / HTTP/1.1\r\nHost: {target.hostname}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
+            ).encode("ascii")
+        )
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestBodyBounds:
+    """``Content-Length`` is checked before any of the body is read."""
+
+    def test_non_numeric_length_is_400(self, base_url):
+        status, envelope = post_declaring(base_url, "banana")
+        assert status == 400
+        assert envelope["ok"] is False and envelope["error_kind"] == "protocol"
+        assert "Content-Length" in envelope["error"]
+
+    def test_negative_length_is_400_without_blocking(self, base_url):
+        # the socket timeout fails the test if the handler waits for a body
+        status, envelope = post_declaring(base_url, "-1")
+        assert status == 400
+        assert envelope["ok"] is False and envelope["error_kind"] == "protocol"
+
+    def test_oversized_length_is_413(self, base_url):
+        status, envelope = post_declaring(base_url, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert envelope["ok"] is False and envelope["error_kind"] == "protocol"
+        assert str(MAX_BODY_BYTES) in envelope["error"]
 
 
 class TestEnvelopeErrors:
