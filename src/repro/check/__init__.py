@@ -3,9 +3,9 @@
 An AST-based rule engine enforcing the invariants no generic linter can
 see: lock discipline in the engine/server (LCK001–LCK003), bitwise
 determinism of result-producing code (DET001–DET004), pickle-safety of
-everything shipped across the process boundary (PKL001), agreement
-between the five hand-maintained protocol/dispatch/route/CLI registries
-plus the documented route tables (REG001–REG007), persistence discipline
+everything shipped across the process boundary (PKL001), API-version
+stamping, single-site terminal job events and CLI table agreement
+(REG003–REG005), persistence discipline
 for backend-journaled state (PER001), and observability drift between the
 declarative ``METRICS`` table and its instrumentation sites
 (OBS001–OBS003).

@@ -1,42 +1,24 @@
 """Registry-drift rules (REG family).
 
-Five hand-maintained registries describe the backend's surface and must
-agree: the action vocabulary (``ACTIONS`` + the docstring tables in
-``server/protocol.py``), the dispatch tables (``HANDLERS`` /
-``SERVER_HANDLERS`` / ``JOB_HANDLERS`` in ``server/handlers.py``), the
-process-routing set (``PROCESS_ACTIONS`` in ``engine/engine.py``), the REST
-route table (``_ROUTES`` in ``server/app.py``), and the CLI command table
-(``_COMMANDS`` in ``cli.py``).  Nothing ties them together at runtime — a
-forgotten entry only surfaces as a 404 or a silently thread-bound job — so
-these rules diff them statically on every check run.
+The server's action vocabulary, dispatch tables, process routing, routes and
+route docs are all derived from one operation table
+(``OPERATIONS`` in ``server/handlers.py``), so they cannot drift apart and
+need no rule.  What stays hand-maintained is checked here:
 
-Each rule skips cleanly when its file is absent, which lets the fixture
-trees under ``tests/check/fixtures`` exercise one registry at a time.
-
-* **REG001** — every ``ACTIONS`` entry appears as ````action```` in the
-  protocol module's docstring tables.
-* **REG002** — every ``JOB_HANDLERS`` key is in ``PROCESS_ACTIONS`` or has
-  its thread-only reason recorded in the comment block above it.
-* **REG003** — every ``_ROUTES`` entry names a defined handler method,
-  every ``_R_*`` route pattern is actually routed, and both JSON and SSE
-  response paths stamp the API version.
+* **REG003** — both JSON and streamed HTTP response paths stamp the API
+  version, and the response envelope carries it.
 * **REG004** — terminal job events (``done``/``failed``/``cancelled``) are
   published from exactly one place: ``AnalysisEngine._finalize``.
 * **REG005** — the CLI's ``_COMMANDS`` table and its registered subparsers
   name the same command set.
-* **REG006** — ``ACTIONS`` equals the union of the dispatch-table keys, and
-  job-able actions are a subset of the session handlers.
-* **REG007** — every ``_ROUTES`` entry appears, as ````METHOD /path````
-  with ``{group}`` placeholders, in the protocol docstring's route table and
-  in the repository README's route table, so the documented API surface
-  cannot silently lag the served one.
+
+Each rule skips cleanly when its file is absent, which lets the fixture
+trees under ``tests/check/fixtures`` exercise one rule at a time.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from pathlib import Path
 from typing import Iterable
 
 from .astutil import ModuleInfo, enclosing_function, str_constants, string_dict_keys
@@ -76,94 +58,16 @@ def _registry_strings(module: ModuleInfo | None, name: str) -> tuple[list[str], 
     return strings, lineno
 
 
-def check_reg001(project: Project) -> Iterable[RawFinding]:
-    """Every protocol action is documented in the module docstring tables."""
-    module = project.find("server/protocol.py")
-    actions = _registry_strings(module, "ACTIONS")
-    if module is None or actions is None:
-        return
-    docstring = ast.get_docstring(module.tree) or ""
-    for action in actions[0]:
-        if f"``{action}``" not in docstring:
-            yield (
-                module.relpath,
-                actions[1],
-                f"action '{action}' is missing from the protocol docstring "
-                "tables; document which view/interaction it serves",
-            )
-
-
-def check_reg002(project: Project) -> Iterable[RawFinding]:
-    """Thread-only job actions carry a recorded reason next to PROCESS_ACTIONS."""
-    handlers = project.find("server/handlers.py")
-    engine = project.find("engine/engine.py")
-    job_handlers = _registry_strings(handlers, "JOB_HANDLERS")
-    process_actions = _registry_strings(engine, "PROCESS_ACTIONS")
-    if handlers is None or engine is None or job_handlers is None or process_actions is None:
-        return
-    assert engine is not None
-    _, lineno = process_actions
-    # the prose justifying thread-only routing lives in the comment/docstring
-    # block directly above the PROCESS_ACTIONS assignment
-    preamble = "\n".join(engine.lines[max(0, lineno - 12) : lineno])
-    for action in job_handlers[0]:
-        if action in process_actions[0]:
-            continue
-        if f"``{action}``" not in preamble and f"'{action}'" not in preamble:
-            yield (
-                engine.relpath,
-                lineno,
-                f"job action '{action}' is not in PROCESS_ACTIONS and no thread-only "
-                "reason for it is recorded in the comment above PROCESS_ACTIONS",
-            )
-
-
 def check_reg003(project: Project) -> Iterable[RawFinding]:
-    """Route table targets exist, every route pattern is used, api_version is stamped."""
+    """Every HTTP response path stamps the API version, and so does the envelope."""
     app = project.find("server/app.py")
     if app is None:
         return
-    routes = _module_assign(app, "_ROUTES")
     method_names = {
         node.name
         for node in ast.walk(app.tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
-    if routes is not None and isinstance(routes[0], (ast.Tuple, ast.List)):
-        for entry in routes[0].elts:
-            if not (isinstance(entry, (ast.Tuple, ast.List)) and len(entry.elts) == 3):
-                continue
-            handler = entry.elts[2]
-            if isinstance(handler, ast.Constant) and isinstance(handler.value, str):
-                if handler.value not in method_names:
-                    yield (
-                        app.relpath,
-                        entry.lineno,
-                        f"route handler '{handler.value}' in _ROUTES is not defined "
-                        "on any class in this module",
-                    )
-    # every module-level _R_* pattern must be referenced beyond its definition
-    pattern_names = [
-        target.id
-        for node in app.tree.body
-        if isinstance(node, ast.Assign)
-        for target in node.targets
-        if isinstance(target, ast.Name) and re.fullmatch(r"_R_[A-Z_]+", target.id)
-    ]
-    loads: dict[str, int] = {}
-    for node in ast.walk(app.tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            loads[node.id] = loads.get(node.id, 0) + 1
-    for name in pattern_names:
-        if loads.get(name, 0) == 0:
-            found = _module_assign(app, name)
-            yield (
-                app.relpath,
-                found[1] if found else 1,
-                f"route pattern '{name}' is defined but never routed (neither in "
-                "_ROUTES nor matched explicitly)",
-            )
-    # both response paths must stamp the API version header
     stampers = {
         fn.name
         for node in ast.walk(app.tree)
@@ -171,7 +75,7 @@ def check_reg003(project: Project) -> Iterable[RawFinding]:
         and node.value == "X-Repro-Api-Version"
         and (fn := enclosing_function(node)) is not None
     }
-    for required in ("_send_json", "_serve_events"):
+    for required in ("_send_json", "_serve_job_events", "_serve_prometheus"):
         if required in method_names and required not in stampers:
             yield (
                 app.relpath,
@@ -281,138 +185,8 @@ def check_reg005(project: Project) -> Iterable[RawFinding]:
             )
 
 
-def check_reg006(project: Project) -> Iterable[RawFinding]:
-    """ACTIONS == HANDLERS ∪ SERVER_HANDLERS, and JOB_HANDLERS ⊆ HANDLERS."""
-    protocol = project.find("server/protocol.py")
-    handlers_mod = project.find("server/handlers.py")
-    actions = _registry_strings(protocol, "ACTIONS")
-    handlers = _registry_strings(handlers_mod, "HANDLERS")
-    server_handlers = _registry_strings(handlers_mod, "SERVER_HANDLERS")
-    job_handlers = _registry_strings(handlers_mod, "JOB_HANDLERS")
-    if None in (protocol, handlers_mod, actions, handlers, server_handlers, job_handlers):
-        return
-    assert protocol is not None and handlers_mod is not None
-    assert actions and handlers and server_handlers and job_handlers
-    action_set = set(actions[0])
-    dispatch = set(handlers[0]) | set(server_handlers[0])
-    for action in sorted(action_set - dispatch):
-        yield (
-            handlers_mod.relpath,
-            handlers[1],
-            f"action '{action}' is declared in ACTIONS but no handler dispatches it",
-        )
-    for action in sorted(dispatch - action_set):
-        yield (
-            protocol.relpath,
-            actions[1],
-            f"handler exists for '{action}' but it is not declared in ACTIONS",
-        )
-    for action in sorted(set(job_handlers[0]) - set(handlers[0])):
-        yield (
-            handlers_mod.relpath,
-            job_handlers[1],
-            f"job action '{action}' has no synchronous handler in HANDLERS; async "
-            "payloads must stay bitwise-identical to a synchronous path",
-        )
-
-
-#: ``(?P<name>[^/]+)`` capture groups become ``{name}`` route placeholders.
-_ROUTE_GROUP_RE = re.compile(r"\(\?P<([^>]+)>\[\^/\]\+\)")
-
-
-def _route_templates(app: ModuleInfo) -> list[tuple[str, str, int]]:
-    """``(method, template, lineno)`` for each ``_ROUTES`` entry.
-
-    Resolves the pattern names back to their ``re.compile(r"...")`` string
-    literals and rewrites them as human-readable templates: anchors and the
-    optional trailing slash stripped, capture groups as ``{name}``.  Entries
-    whose pattern cannot be resolved statically are skipped (REG003 already
-    polices the table's structure).
-    """
-    patterns: dict[str, str] = {}
-    for node in app.tree.body:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not (isinstance(target, ast.Name) and re.fullmatch(r"_R_[A-Z_]+", target.id)):
-            continue
-        value = node.value
-        if (
-            isinstance(value, ast.Call)
-            and value.args
-            and isinstance(value.args[0], ast.Constant)
-            and isinstance(value.args[0].value, str)
-        ):
-            patterns[target.id] = value.args[0].value
-    routes = _module_assign(app, "_ROUTES")
-    templates: list[tuple[str, str, int]] = []
-    if routes is None or not isinstance(routes[0], (ast.Tuple, ast.List)):
-        return templates
-    for entry in routes[0].elts:
-        if not (isinstance(entry, (ast.Tuple, ast.List)) and len(entry.elts) == 3):
-            continue
-        method, pattern_ref = entry.elts[0], entry.elts[1]
-        if not (isinstance(method, ast.Constant) and isinstance(method.value, str)):
-            continue
-        raw = patterns.get(pattern_ref.id) if isinstance(pattern_ref, ast.Name) else None
-        if raw is None:
-            continue
-        template = raw.lstrip("^").rstrip("$")
-        template = template[:-2] if template.endswith("/?") else template
-        template = _ROUTE_GROUP_RE.sub(r"{\1}", template)
-        templates.append((method.value, template, entry.lineno))
-    return templates
-
-
-def _find_readme(root: Path) -> tuple[Path, str] | None:
-    """The nearest ``README.md`` at or above the analysis root.
-
-    The analysis root is the installed package directory (``src/repro``), so
-    the repository README sits two levels up; fixture trees may carry their
-    own README in the root itself.
-    """
-    for candidate in (root, root.parent, root.parent.parent):
-        path = candidate / "README.md"
-        if path.is_file():
-            return path, path.read_text(encoding="utf-8")
-    return None
-
-
-def check_reg007(project: Project) -> Iterable[RawFinding]:
-    """Every served route is documented in the protocol docstring and README."""
-    app = project.find("server/app.py")
-    if app is None:
-        return
-    templates = _route_templates(app)
-    if not templates:
-        return
-    protocol = project.find("server/protocol.py")
-    docstring = (ast.get_docstring(protocol.tree) or "") if protocol is not None else None
-    readme = _find_readme(project.root)
-    for method, template, lineno in templates:
-        if docstring is not None and f"``{method} {template}``" not in docstring:
-            yield (
-                app.relpath,
-                lineno,
-                f"route '{method} {template}' is served by _ROUTES but missing "
-                f"from the protocol docstring route table; add a "
-                f"``{method} {template}`` row",
-            )
-        if readme is not None and template not in readme[1]:
-            yield (
-                app.relpath,
-                lineno,
-                f"route '{method} {template}' is served by _ROUTES but missing "
-                f"from the route table in {readme[0].name}",
-            )
-
-
 RULES = [
-    Rule("REG001", "error", "protocol action missing from docstring tables", check_reg001),
-    Rule("REG002", "error", "thread-only job action without a recorded reason", check_reg002),
-    Rule("REG003", "error", "REST route/API-version drift", check_reg003),
+    Rule("REG003", "error", "HTTP response path without the API version", check_reg003),
     Rule("REG004", "error", "terminal event published outside _finalize", check_reg004),
     Rule("REG005", "error", "CLI command table and subparsers disagree", check_reg005),
-    Rule("REG006", "error", "action vocabulary and dispatch tables disagree", check_reg006),
-    Rule("REG007", "error", "served route missing from the documented route tables", check_reg007),
 ]

@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         dest="rules",
         metavar="ID",
-        help="run only this rule id (repeatable, e.g. --rule LCK001 --rule REG006)",
+        help="run only this rule id (repeatable, e.g. --rule LCK001 --rule REG004)",
     )
     check.add_argument(
         "--format",

@@ -4,7 +4,8 @@
 :class:`~repro.server.app.SystemDServer`:
 
 * :meth:`~AnalysisEngine.submit` turns any job-able analysis action (the
-  keys of :data:`repro.server.handlers.JOB_HANDLERS`) into a
+  operations declared ``job`` in :data:`repro.server.handlers.OPERATIONS`,
+  run through :data:`~repro.server.handlers.JOB_HANDLERS`) into a
   :class:`~repro.engine.job.Job` on the worker pool's priority queue —
   unless an identical analysis is already in flight for the same session and
   model fingerprint, in which case the submission *coalesces* onto that job
@@ -39,7 +40,7 @@ import uuid
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..obs import metrics, trace
-from ..server.handlers import JOB_HANDLERS
+from ..server.handlers import JOB_HANDLERS, PROCESS_ACTIONS
 from ..server.protocol import ProtocolError
 from ..server.registry import DEFAULT_SESSION_ID
 from ..server.serialization import to_json_safe
@@ -53,14 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..server.app import SystemDServer
 
 __all__ = ["AnalysisEngine", "PROCESS_ACTIONS"]
-
-#: CPU-bound job actions routed through the process executor when one is
-#: configured.  The remaining job-able actions (``per_data``,
-#: ``constrained``) stay in-process: they are sub-millisecond or carry
-#: non-picklable constraint callables.
-PROCESS_ACTIONS = frozenset(
-    {"run_sweep", "sensitivity", "comparison", "goal_inversion", "driver_importance"}
-)
 
 _QUEUE_WAIT = metrics.histogram("repro_job_queue_wait_seconds")
 _RUN_SECONDS = metrics.histogram("repro_job_run_seconds")
@@ -83,8 +76,9 @@ class AnalysisEngine:
         Finished jobs retained by the store before LRU eviction.
     executor:
         ``"thread"`` (default) runs every job's analysis on the worker
-        thread; ``"process"`` additionally fans the CPU-bound actions
-        (:data:`PROCESS_ACTIONS`) out to a lazy-started
+        thread; ``"process"`` additionally fans the CPU-bound actions (those
+        declared ``pool`` in the operation table, :data:`PROCESS_ACTIONS`)
+        out to a lazy-started
         :class:`~repro.engine.process.ProcessExecutor`, escaping the GIL.
         Where the ``spawn`` start method is unavailable the engine falls
         back to threads and records the fallback in :meth:`stats`.

@@ -143,6 +143,9 @@ class Subscription:
     )
     _closed: bool = field(default=False, repr=False)
     _finished: bool = field(default=False, repr=False)
+    #: False when the job's terminal event was published before this
+    #: subscription: the replay queued at subscribe time is all it will get.
+    live: bool = field(default=True, repr=False)
 
     def _deliver(self, event: JobEvent) -> None:
         self._queue.put(event)
@@ -314,7 +317,9 @@ class JobEventBus:
             for event in channel.events:
                 if event.seq > after_seq:
                     subscription._deliver(event)
-            if not channel.terminal:
+            if channel.terminal:
+                subscription.live = False
+            else:
                 channel.subscribers.append(subscription)
             if job_id in self._terminal_order:
                 self._terminal_order.move_to_end(job_id)

@@ -3,15 +3,23 @@ dispatcher standing in for SystemD's browser-client / Python-backend
 architecture."""
 
 from .app import SSE_KEEPALIVE_S, SystemDServer, serve_http
-from .handlers import HANDLERS, JOB_HANDLERS, SERVER_HANDLERS, ServerState
-from .protocol import (
+from .handlers import (
     ACTIONS,
+    HANDLERS,
+    JOB_HANDLERS,
+    OPERATIONS,
+    SERVER_HANDLERS,
+    Operation,
+    ServerState,
+)
+from .protocol import (
     API_VERSION,
     ConflictError,
     NotFoundError,
     ProtocolError,
     Request,
     Response,
+    TooLargeError,
 )
 from .registry import DEFAULT_SESSION_ID, SessionEntry, SessionRegistry, UnknownSessionError
 from .serialization import dumps, frame_preview, to_json_safe
@@ -25,6 +33,8 @@ __all__ = [
     "HANDLERS",
     "SERVER_HANDLERS",
     "JOB_HANDLERS",
+    "OPERATIONS",
+    "Operation",
     "SessionRegistry",
     "SessionEntry",
     "UnknownSessionError",
@@ -36,6 +46,7 @@ __all__ = [
     "ProtocolError",
     "NotFoundError",
     "ConflictError",
+    "TooLargeError",
     "ServerEvent",
     "StreamClient",
     "to_json_safe",

@@ -30,10 +30,12 @@ actions) come back as structured JSON error bodies with 4xx status codes.
 The HTTP wrapper serves two surfaces (see :mod:`repro.server.protocol` for
 the deprecation path): the original bare-POST protocol (POST an envelope to
 any non-API path, always 200 with errors inside the envelope), and the
-resource-routed API under ``/api/v1`` where HTTP verbs map to actions,
-failures carry real status codes (404 unknown resource, 409 duplicate, 400
-bad request), and ``GET .../jobs/{jid}/events`` streams the job's event bus
-as Server-Sent Events with ``Last-Event-ID`` resume.
+resource-routed API under ``/api/v1``, whose routes are declared in the
+operation table (:data:`repro.server.handlers.OPERATIONS`): HTTP verbs map
+to actions, failures carry real status codes (400 bad request, 404 unknown
+resource, 409 duplicate, 413 over a size cap), and ``GET
+.../jobs/{jid}/events`` streams the job's event bus as Server-Sent Events
+with ``Last-Event-ID`` resume.
 """
 
 from __future__ import annotations
@@ -45,15 +47,23 @@ import threading
 import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import Any
 from urllib.parse import parse_qsl, urlsplit
 
 from ..core import ModelCache
 from ..obs import metrics, trace
 from ..persist import StateBackend, open_backend
-from .handlers import HANDLERS, SERVER_HANDLERS, ServerState
-from .protocol import (
+from .handlers import (
     ACTIONS,
+    HANDLERS,
+    OPERATIONS,
+    SERVER_HANDLERS,
+    V1_ONLY_ACTIONS,
+    Operation,
+    ServerState,
+    parse_flag,
+)
+from .protocol import (
     API_VERSION,
     BARE_POST_DEPRECATION,
     ConflictError,
@@ -61,12 +71,18 @@ from .protocol import (
     ProtocolError,
     Request,
     Response,
-    V1_ONLY_ACTIONS,
+    TooLargeError,
 )
 from .registry import DEFAULT_SESSION_ID, SessionRegistry, UnknownSessionError
 from .serialization import to_json_safe
 
-__all__ = ["SystemDServer", "serve_http", "SSE_KEEPALIVE_S", "MAX_BODY_BYTES"]
+__all__ = [
+    "HANDLER_TIMEOUT_S",
+    "MAX_BODY_BYTES",
+    "SSE_KEEPALIVE_S",
+    "SystemDServer",
+    "serve_http",
+]
 
 #: Requests remembered by the bounded request log.
 REQUEST_LOG_LIMIT = 1000
@@ -80,8 +96,19 @@ MAX_BODY_BYTES = 1 << 20
 #: fails), bounding how long ``cancel_on_disconnect`` jobs outlive readers.
 SSE_KEEPALIVE_S = 1.0
 
+#: Seconds a connection may sit in one socket read or write before the HTTP
+#: adapter closes it, so an idle client cannot hold a handler thread.  A
+#: ``job_result`` long poll waits without socket I/O and is not cut short.
+HANDLER_TIMEOUT_S = 30.0
+
 #: ``error_kind`` → HTTP status for the resource-routed API.
-_KIND_STATUS = {"protocol": 400, "not_found": 404, "conflict": 409, "internal": 500}
+_KIND_STATUS = {
+    "protocol": 400,
+    "not_found": 404,
+    "conflict": 409,
+    "too_large": 413,
+    "internal": 500,
+}
 
 _REQUESTS_TOTAL = metrics.counter("repro_requests_total")
 _REQUEST_LATENCY = metrics.histogram("repro_request_latency_ms")
@@ -93,6 +120,8 @@ def _protocol_kind(exc: ProtocolError) -> str:
         return "not_found"
     if isinstance(exc, ConflictError):
         return "conflict"
+    if isinstance(exc, TooLargeError):
+        return "too_large"
     return "protocol"
 
 
@@ -103,39 +132,46 @@ def _status_for(response: Response) -> int:
     return _KIND_STATUS.get(response.error_kind, 400)
 
 
-# Resource routes: ``(method, compiled path pattern, SystemDServer method
-# name)``.  The SSE events route is matched separately by the HTTP handler
-# because it needs the raw socket, not a ``(status, Response)`` pair.
-_R_SESSIONS = re.compile(r"^/api/v1/sessions/?$")
-_R_SESSION = re.compile(r"^/api/v1/sessions/(?P<sid>[^/]+)/?$")
-_R_JOBS = re.compile(r"^/api/v1/sessions/(?P<sid>[^/]+)/jobs/?$")
-_R_JOB = re.compile(r"^/api/v1/sessions/(?P<sid>[^/]+)/jobs/(?P<jid>[^/]+)/?$")
-_R_JOB_EVENTS = re.compile(
-    r"^/api/v1/sessions/(?P<sid>[^/]+)/jobs/(?P<jid>[^/]+)/events/?$"
-)
-_R_SCENARIOS = re.compile(r"^/api/v1/sessions/(?P<sid>[^/]+)/scenarios/?$")
-_R_VERSIONS = re.compile(r"^/api/v1/sessions/(?P<sid>[^/]+)/versions/?$")
-_R_SHARE = re.compile(r"^/api/v1/sessions/share/(?P<share_id>[^/]+)/?$")
-_R_PERSIST = re.compile(r"^/api/v1/persistence/?$")
-_R_METRICS = re.compile(r"^/api/v1/metrics/?$")
+#: Route placeholders whose request parameter has a longer name.
+_PATH_PARAMS = {"sid": "session_id", "jid": "job_id"}
 
-_ROUTES: tuple[tuple[str, re.Pattern[str], str], ...] = (
-    ("GET", _R_SESSIONS, "_rest_list_sessions"),
-    ("POST", _R_SESSIONS, "_rest_create_session"),
-    # the share route precedes the single-session route: ``share`` would
-    # otherwise match as a session id for two-segment lookalike paths
-    ("GET", _R_SHARE, "_rest_resolve_share"),
-    ("GET", _R_SESSION, "_rest_get_session"),
-    ("DELETE", _R_SESSION, "_rest_close_session"),
-    ("GET", _R_JOBS, "_rest_list_jobs"),
-    ("POST", _R_JOBS, "_rest_submit_job"),
-    ("GET", _R_JOB, "_rest_get_job"),
-    ("DELETE", _R_JOB, "_rest_cancel_job"),
-    ("GET", _R_SCENARIOS, "_rest_list_scenarios"),
-    ("GET", _R_VERSIONS, "_rest_list_versions"),
-    ("POST", _R_VERSIONS, "_rest_create_version"),
-    ("GET", _R_PERSIST, "_rest_persist_stats"),
-)
+
+def _compile_route(route: str) -> tuple[str, re.Pattern[str], str]:
+    """``"GET /a/{sid}?result=1"`` → ``(method, path pattern, selector flag)``."""
+    method, _, target = route.partition(" ")
+    path, _, selector = target.partition("?")
+    pattern = re.sub(
+        r"\{(\w+)\}", lambda m: f"(?P<{_PATH_PARAMS.get(m[1], m[1])}>[^/]+)", path
+    )
+    return method, re.compile(f"^{pattern}/?$"), selector.partition("=")[0]
+
+
+_ROUTE_PATTERNS = tuple((*_compile_route(op.route), op) for op in OPERATIONS if op.route)
+
+
+def _match_route(
+    method: str, path: str, query: dict[str, str]
+) -> tuple[Operation, dict[str, str]] | None:
+    """The first operation routed at ``(method, path)``, with its path
+    parameters; a route with a selector matches only when its flag is set."""
+    for route_method, pattern, selector, op in _ROUTE_PATTERNS:
+        match = pattern.match(path) if route_method == method else None
+        if match and (not selector or parse_flag(query.get(selector, ""))):
+            return op, match.groupdict()
+    return None
+
+
+def _json_object(body: str) -> dict[str, Any]:
+    """A request body as a JSON object (``{}`` when empty)."""
+    try:
+        payload = json.loads(body) if body.strip() else {}
+    except json.JSONDecodeError as exc:
+        raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ProtocolError(
+            f"request body must be a JSON object, got {type(payload).__name__}"
+        )
+    return payload
 
 
 def _deprecated(response: Response) -> Response:
@@ -337,20 +373,9 @@ class SystemDServer:
         and return 200, with handler-level failures reported inside the
         envelope as before.
         """
+        payload: dict[str, Any] = {}
         try:
-            payload = json.loads(body) if body.strip() else {}
-        except json.JSONDecodeError as exc:
-            response = Response.failure(f"request is not valid JSON: {exc}", kind="protocol")
-            self._record("?", "", response)
-            return 400, _deprecated(response)
-        if not isinstance(payload, dict):
-            response = Response.failure(
-                f"request body must be a JSON object, got {type(payload).__name__}",
-                kind="protocol",
-            )
-            self._record("?", "", response)
-            return 400, _deprecated(response)
-        try:
+            payload = _json_object(body)
             request = Request.from_dict(payload)
         except ProtocolError as exc:
             response = Response.failure(
@@ -359,10 +384,10 @@ class SystemDServer:
             self._record(str(payload.get("action", "?")), "", response)
             return 400, _deprecated(response)
         if request.action in V1_ONLY_ACTIONS:
+            route = next(op.route for op in OPERATIONS if op.action == request.action)
             response = Response.failure(
                 f"action {request.action!r} is served through /api/v1 only "
-                "(bare-POST deprecation stage 2); see the route table in "
-                "repro.server.protocol",
+                f"(bare-POST deprecation stage 2): {route}",
                 kind="protocol",
                 request_id=request.request_id,
             )
@@ -382,22 +407,27 @@ class SystemDServer:
     ) -> tuple[int, Response] | None:
         """Dispatch one resource-routed request, returning ``(status, response)``.
 
-        Returns ``None`` when no route matches ``(method, path)`` so the HTTP
-        adapter can fall back (bare-POST protocol for POST, 404/405 for the
-        rest).  Unlike the bare-POST surface, handler failures surface as
-        real HTTP status codes via ``error_kind``.
+        The route comes from the operation table.  Parameters merge query,
+        then body, then path parameters (``{sid}`` becomes ``session_id``,
+        ``{jid}`` ``job_id``), and a job named in the path must belong to the
+        session named there.  Returns ``None`` when no route matches ``(method,
+        path)``, or for the routes the HTTP adapter writes itself, so it can
+        answer them or fall back.  Unlike the bare-POST surface, handler
+        failures surface as real HTTP status codes via ``error_kind``.
         """
         query = query or {}
-        body = body if isinstance(body, dict) else {}
-        for route_method, pattern, attr in _ROUTES:
-            if route_method != method.upper():
-                continue
-            match = pattern.match(path)
-            if match is None:
-                continue
-            adapter: Callable[..., tuple[int, Response]] = getattr(self, attr)
-            return adapter(match, query, body)
-        return None
+        found = _match_route(method.upper(), path, query)
+        if found is None or found[0].handler is None:
+            return None
+        op, path_params = found
+        params = {**query, **(body if isinstance(body, dict) else {}), **path_params}
+        session_id = path_params.get("session_id", "")
+        if "job_id" in path_params:
+            failure = self._job_session_error(op.action, session_id, path_params["job_id"])
+            if failure is not None:
+                return 404, failure
+        response = self.handle(Request(op.action, params, session_id=session_id))
+        return (op.status if response.ok else _status_for(response)), response
 
     def _rest_failure(
         self, action: str, session_id: str, error: str, kind: str
@@ -443,133 +473,6 @@ class SystemDServer:
             )
         return None
 
-    @staticmethod
-    def _query_flag(query: dict[str, str], name: str) -> bool:
-        return str(query.get(name, "")).lower() in ("1", "true", "yes", "on")
-
-    @staticmethod
-    def _page_params(query: dict[str, str]) -> dict[str, Any]:
-        params: dict[str, Any] = {}
-        if "limit" in query:
-            params["limit"] = query["limit"]
-        if "offset" in query:
-            params["offset"] = query["offset"]
-        return params
-
-    def _rest_list_sessions(self, match, query, body) -> tuple[int, Response]:
-        response = self.handle(
-            Request(action="list_sessions", params=self._page_params(query))
-        )
-        return _status_for(response), response
-
-    def _rest_create_session(self, match, query, body) -> tuple[int, Response]:
-        response = self.handle(Request(action="create_session", params=dict(body)))
-        return (201 if response.ok else _status_for(response)), response
-
-    def _rest_get_session(self, match, query, body) -> tuple[int, Response]:
-        session_id = match.group("sid")
-        response = self.handle(Request(action="list_sessions"))
-        if not response.ok:
-            return _status_for(response), response
-        for summary in response.data.get("sessions", []):
-            if summary.get("session_id") == session_id:
-                return 200, Response.success(
-                    {"session": summary},
-                    session_id=session_id,
-                    elapsed_ms=response.elapsed_ms,
-                )
-        return 404, self._rest_failure(
-            "get_session", session_id, f"unknown session {session_id!r}", "not_found"
-        )
-
-    def _rest_close_session(self, match, query, body) -> tuple[int, Response]:
-        session_id = match.group("sid")
-        response = self.handle(
-            Request(action="close_session", params={"session_id": session_id})
-        )
-        return _status_for(response), response
-
-    def _rest_list_jobs(self, match, query, body) -> tuple[int, Response]:
-        session_id = match.group("sid")
-        if not self._session_exists(session_id):
-            return 404, self._rest_failure(
-                "list_jobs", session_id, f"unknown session {session_id!r}", "not_found"
-            )
-        params: dict[str, Any] = {"session_id": session_id, **self._page_params(query)}
-        if "states" in query:
-            params["states"] = [s for s in query["states"].split(",") if s]
-        response = self.handle(Request(action="list_jobs", params=params))
-        return _status_for(response), response
-
-    def _rest_submit_job(self, match, query, body) -> tuple[int, Response]:
-        session_id = match.group("sid")
-        if not self._session_exists(session_id):
-            return 404, self._rest_failure(
-                "submit", session_id, f"unknown session {session_id!r}", "not_found"
-            )
-        params = dict(body)
-        params["session_id"] = session_id
-        response = self.handle(Request(action="submit", params=params))
-        return (201 if response.ok else _status_for(response)), response
-
-    def _rest_get_job(self, match, query, body) -> tuple[int, Response]:
-        session_id, job_id = match.group("sid"), match.group("jid")
-        error = self._job_session_error("job_status", session_id, job_id)
-        if error is not None:
-            return 404, error
-        if self._query_flag(query, "result"):
-            params: dict[str, Any] = {"job_id": job_id, "session_id": session_id}
-            if "wait" in query:
-                params["wait"] = self._query_flag(query, "wait")
-            if "timeout_s" in query:
-                params["timeout_s"] = query["timeout_s"]
-            response = self.handle(Request(action="job_result", params=params))
-        else:
-            response = self.handle(
-                Request(action="job_status", params={"job_id": job_id})
-            )
-        return _status_for(response), response
-
-    def _rest_cancel_job(self, match, query, body) -> tuple[int, Response]:
-        session_id, job_id = match.group("sid"), match.group("jid")
-        error = self._job_session_error("cancel_job", session_id, job_id)
-        if error is not None:
-            return 404, error
-        response = self.handle(Request(action="cancel_job", params={"job_id": job_id}))
-        return _status_for(response), response
-
-    def _rest_list_scenarios(self, match, query, body) -> tuple[int, Response]:
-        session_id = match.group("sid")
-        params = self._page_params(query)
-        response = self.handle(
-            Request(action="list_scenarios", params=params, session_id=session_id)
-        )
-        return _status_for(response), response
-
-    def _rest_list_versions(self, match, query, body) -> tuple[int, Response]:
-        session_id = match.group("sid")
-        params: dict[str, Any] = {"session_id": session_id, **self._page_params(query)}
-        response = self.handle(Request(action="list_versions", params=params))
-        return _status_for(response), response
-
-    def _rest_create_version(self, match, query, body) -> tuple[int, Response]:
-        session_id = match.group("sid")
-        params = dict(body)
-        params["session_id"] = session_id
-        response = self.handle(Request(action="create_version", params=params))
-        return (201 if response.ok else _status_for(response)), response
-
-    def _rest_resolve_share(self, match, query, body) -> tuple[int, Response]:
-        share_id = match.group("share_id")
-        response = self.handle(
-            Request(action="resolve_share", params={"share_id": share_id})
-        )
-        return _status_for(response), response
-
-    def _rest_persist_stats(self, match, query, body) -> tuple[int, Response]:
-        response = self.handle(Request(action="persist_stats"))
-        return _status_for(response), response
-
     def stream_check(self, session_id: str, job_id: str) -> Response | None:
         """Validate an SSE subscription target (``None`` means streamable)."""
         if not self._session_exists(session_id):
@@ -582,10 +485,7 @@ class SystemDServer:
         if isinstance(request, Request):
             return request
         if isinstance(request, str):
-            try:
-                request = json.loads(request)
-            except json.JSONDecodeError as exc:
-                raise ProtocolError(f"request is not valid JSON: {exc}") from exc
+            request = _json_object(request)
         if isinstance(request, dict):
             return Request.from_dict(request)
         raise ProtocolError(
@@ -667,14 +567,20 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
     JSON response envelope with a meaningful status code: 200 for dispatched
     bare-POST requests, 400 for bad envelopes or a bad ``Content-Length``,
     413 for bodies over :data:`MAX_BODY_BYTES`, resource-route statuses
-    (200/201/400/404/409) on ``/api/v1``, 405/501 for unroutable methods (the
-    ``send_error`` override keeps even stdlib-generated errors JSON), 500
-    only for unexpected adapter errors — never a bare HTML traceback.  The
-    one non-JSON response is ``GET .../jobs/{jid}/events``: a
-    ``text/event-stream`` that frames the job's event bus as SSE.
+    (200/201/400/404/409/413) on ``/api/v1``, 405/501 for unroutable methods
+    (the ``send_error`` override keeps even stdlib-generated errors JSON),
+    500 only for unexpected adapter errors — never a bare HTML traceback.
+    The non-JSON responses are the two routes the table declares without a
+    handler, written here: ``GET .../jobs/{jid}/events``, a
+    ``text/event-stream`` that frames the job's event bus as SSE, and
+    ``GET /api/v1/metrics``, Prometheus text.
     """
 
     server_version = "SystemDRepro/0.1"
+
+    def setup(self) -> None:
+        self.timeout = HANDLER_TIMEOUT_S  # read at each connection, not at import
+        super().setup()
 
     @property
     def backend(self) -> SystemDServer:
@@ -700,119 +606,48 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
             )
         return self.rfile.read(length).decode("utf-8", errors="replace") if length else ""
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server naming
+    def _serve(self) -> None:
+        """Every verb: ``/api/`` paths go through the route table, a POST
+        anywhere else is a bare-POST envelope, anything else is 405."""
         try:
             path, query = self._split_target()
             body = self._read_body()
             if path.startswith("/api/"):
-                self._dispatch_rest("POST", path, query, body)
-                return
-            status, response = self.backend.handle_http(body)
-            payload = response.to_dict()
+                self._dispatch_rest(path, query, body)
+            elif self.command == "POST":
+                status, response = self.backend.handle_http(body)
+                self._send_json(status, response.to_dict(), deprecated=True)
+            else:
+                self._send_failure(405, "use POST with a JSON request envelope, or a /api/v1 route")
         except _BodyRejected as exc:
             self.close_connection = True  # the unread body must not be parsed as a request
-            self._send_json(exc.status, Response.failure(str(exc), kind="protocol").to_dict())
-            return
+            self._send_failure(exc.status, str(exc))
+        except TimeoutError:
+            raise  # a stalled client: the stdlib closes the connection
         except Exception as exc:  # noqa: BLE001 - the adapter must not emit tracebacks
-            self._send_json(
-                500,
-                Response.failure(
-                    f"internal error: {type(exc).__name__}: {exc}", kind="internal"
-                ).to_dict(),
-            )
-            return
-        self._send_json(status, payload, deprecated=True)
+            self._send_failure(500, f"internal error: {type(exc).__name__}: {exc}", "internal")
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        try:
-            path, query = self._split_target()
-            events = _R_JOB_EVENTS.match(path)
-            if events is not None:
-                self._serve_events(events.group("sid"), events.group("jid"), query)
-                return
-            if _R_METRICS.match(path) is not None:
-                self._serve_metrics(query)
-                return
-            if path.startswith("/api/"):
-                self._dispatch_rest("GET", path, query, "")
-                return
-        except Exception as exc:  # noqa: BLE001 - the adapter must not emit tracebacks
-            self._send_json(
-                500,
-                Response.failure(
-                    f"internal error: {type(exc).__name__}: {exc}", kind="internal"
-                ).to_dict(),
-            )
-            return
-        self._send_json(
-            405,
-            Response.failure(
-                "use POST with a JSON request envelope, or a /api/v1 route",
-                kind="protocol",
-            ).to_dict(),
-        )
+    do_GET = do_POST = do_PUT = do_DELETE = _serve
 
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server naming
-        try:
-            path, query = self._split_target()
-            if path.startswith("/api/"):
-                self._dispatch_rest("DELETE", path, query, "")
-                return
-        except Exception as exc:  # noqa: BLE001 - the adapter must not emit tracebacks
-            self._send_json(
-                500,
-                Response.failure(
-                    f"internal error: {type(exc).__name__}: {exc}", kind="internal"
-                ).to_dict(),
-            )
-            return
-        self._send_json(
-            405,
-            Response.failure(
-                "use POST with a JSON request envelope, or a /api/v1 route",
-                kind="protocol",
-            ).to_dict(),
-        )
-
-    do_PUT = do_GET
-
-    def _dispatch_rest(self, method: str, path: str, query: dict[str, str], body: str) -> None:
+    def _dispatch_rest(self, path: str, query: dict[str, str], body: str) -> None:
         """Route one ``/api/v1`` request, 404-ing unknown paths."""
-        if body.strip():
-            try:
-                parsed = json.loads(body)
-            except json.JSONDecodeError as exc:
-                self._send_json(
-                    400,
-                    Response.failure(
-                        f"request is not valid JSON: {exc}", kind="protocol"
-                    ).to_dict(),
-                )
-                return
-            if not isinstance(parsed, dict):
-                self._send_json(
-                    400,
-                    Response.failure(
-                        f"request body must be a JSON object, got {type(parsed).__name__}",
-                        kind="protocol",
-                    ).to_dict(),
-                )
-                return
-        else:
-            parsed = {}
-        result = self.backend.handle_rest(method, path, query, parsed)
+        found = _match_route(self.command, path, query)
+        if found is not None and found[0].handler is None:
+            getattr(self, f"_serve_{found[0].action}")(query, **found[1])
+            return
+        try:
+            parsed = _json_object(body)
+        except ProtocolError as exc:
+            self._send_failure(400, str(exc))
+            return
+        result = self.backend.handle_rest(self.command, path, query, parsed)
         if result is None:
-            self._send_json(
-                404,
-                Response.failure(
-                    f"no route for {method} {path}", kind="not_found"
-                ).to_dict(),
-            )
+            self._send_failure(404, f"no route for {self.command} {path}", "not_found")
             return
         status, response = result
         self._send_json(status, response.to_dict())
 
-    def _serve_events(self, session_id: str, job_id: str, query: dict[str, str]) -> None:
+    def _serve_job_events(self, query: dict[str, str], session_id: str, job_id: str) -> None:
         """Stream one job's event bus as Server-Sent Events.
 
         Replays from ``Last-Event-ID`` (or ``?after=N``) so reconnecting
@@ -833,14 +668,9 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
         try:
             after_seq = max(0, int(raw_after))
         except ValueError:
-            self._send_json(
-                400,
-                Response.failure(
-                    f"invalid Last-Event-ID/after value {raw_after!r}", kind="protocol"
-                ).to_dict(),
-            )
+            self._send_failure(400, f"invalid Last-Event-ID/after value {raw_after!r}")
             return
-        cancel_on_disconnect = backend._query_flag(query, "cancel_on_disconnect")
+        cancel_on_disconnect = parse_flag(query.get("cancel_on_disconnect", ""))
         subscription = backend.engine.events.subscribe(job_id, after_seq=after_seq)
         try:
             self.send_response(200)
@@ -850,6 +680,8 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
             self.end_headers()
             while True:
                 event = subscription.get(timeout=SSE_KEEPALIVE_S)
+                if event is None and not subscription.live:
+                    break  # resumed past a finished job's last event
                 if event is None:
                     self.wfile.write(b": keepalive\n\n")
                     self.wfile.flush()
@@ -872,7 +704,7 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
         finally:
             subscription.close()
 
-    def _serve_metrics(self, query: dict[str, str]) -> None:
+    def _serve_prometheus(self, query: dict[str, str]) -> None:
         """Serve the metrics registry: Prometheus text, or JSON with
         ``?format=json`` (the same payload as the ``metrics`` action)."""
         if str(query.get("format", "")).lower() == "json":
@@ -891,13 +723,12 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
         # the stdlib falls back to send_error (an HTML page) for any method
         # without a do_* handler (PATCH, HEAD, OPTIONS, ...); keep every
         # outcome a structured JSON envelope instead
-        self._send_json(
-            int(code),
-            Response.failure(
-                str(message) if message else "use POST with a JSON request envelope",
-                kind="protocol",
-            ).to_dict(),
+        self._send_failure(
+            int(code), str(message) if message else "use POST with a JSON request envelope"
         )
+
+    def _send_failure(self, status: int, message: str, kind: str = "protocol") -> None:
+        self._send_json(status, Response.failure(message, kind=kind).to_dict())
 
     def _send_json(
         self, status: int, payload: dict[str, Any], *, deprecated: bool = False

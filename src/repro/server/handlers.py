@@ -1,4 +1,12 @@
-"""Request handlers: one per backend action.
+"""Request handlers and the operation table that declares them.
+
+Every backend operation is declared once, in :data:`OPERATIONS`, beside its
+handler: its scope, whether it can run as an engine job (and on the process
+pool), its ``/api/v1`` route and success status, whether it is
+``/api/v1``-only, and one doc line.  The dispatch tables, the action
+vocabulary, the engine's process routing and the HTTP router are all derived
+from that table, and the README's action and route tables are rendered from
+it (``tests/server/test_operation_docs.py`` fails when they are stale).
 
 Session-scoped handlers (:data:`HANDLERS`) receive one mutable
 :class:`ServerState` — the analysis the request's ``session_id`` routed to —
@@ -7,32 +15,62 @@ Server-scoped handlers (:data:`SERVER_HANDLERS`) receive the
 :class:`~repro.server.app.SystemDServer` itself and manage the session
 registry, the shared model cache, and the async analysis engine.  Validation
 errors raise :class:`~repro.server.protocol.ProtocolError` so the dispatcher
-can turn them into error responses without crashing the server.
+can turn them into error responses without crashing the server.  Parameters
+may arrive as JSON values or as query-string text, so handlers parse them
+with the ``_int_param`` / ``_float_param`` / ``parse_flag`` helpers, and
+sizes that would buy unbounded work are capped (``MAX_*``, HTTP 413).
 
-The heavy analysis handlers accept an optional ``checkpoint`` callable that
-they thread into the chunked analysis runners; the synchronous dispatcher
-never passes one (leaving the original code paths byte-for-byte untouched),
-while the async engine's workers invoke the same handlers through
-:data:`JOB_HANDLERS` with a :class:`~repro.engine.job.JobContext` checkpoint
-so jobs publish partial progress and honour cancellation.
+The job-able analysis handlers accept optional ``checkpoint`` / ``executor``
+/ ``emit`` arguments that they thread into the chunked analysis runners; the
+synchronous dispatcher never passes them, while the async engine's workers
+invoke the same handlers through :data:`JOB_HANDLERS` with a
+:class:`~repro.engine.job.JobContext` so jobs publish partial progress and
+honour cancellation.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..core import DriverBound, ModelCache, PerturbationSet, WhatIfSession
 from ..datasets import get_use_case, list_use_cases
-from .protocol import ConflictError, NotFoundError, ProtocolError
+from .protocol import ConflictError, NotFoundError, ProtocolError, TooLargeError
 from .serialization import frame_preview, to_json_safe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engine.job import JobContext
     from .app import SystemDServer
 
-__all__ = ["ServerState", "HANDLERS", "SERVER_HANDLERS", "JOB_HANDLERS"]
+__all__ = [
+    "ACTIONS",
+    "HANDLERS",
+    "JOB_HANDLERS",
+    "MAX_N_CALLS",
+    "MAX_ROWS",
+    "MAX_SCENARIOS",
+    "MAX_WAIT_S",
+    "OPERATIONS",
+    "Operation",
+    "PROCESS_ACTIONS",
+    "SERVER_HANDLERS",
+    "ServerState",
+    "V1_ONLY_ACTIONS",
+    "parse_flag",
+]
+
+#: Largest dataset a request may load, in rows (read through the use case's
+#: ``UseCase.size_parameter``).
+MAX_ROWS = 100_000
+#: Most scenarios one request may score: a sweep's grid size or
+#: ``sample.n``, or a comparison's drivers x amounts.
+MAX_SCENARIOS = 10_000
+#: Most objective evaluations one goal inversion may spend.
+MAX_N_CALLS = 100
+#: Longest ``timeout_s`` a ``job_result`` request may block for, in seconds.
+MAX_WAIT_S = 600.0
 
 
 @dataclass
@@ -66,6 +104,39 @@ class ServerState:
 
 
 # --------------------------------------------------------------------------- #
+# parameter parsing: values arrive as JSON or as query-string text
+# --------------------------------------------------------------------------- #
+def parse_flag(value: Any) -> bool:
+    """A boolean parameter: text counts as true when it is ``1``, ``true``,
+    ``yes`` or ``on`` (so ``?wait=0`` is false); JSON values by truth."""
+    if isinstance(value, str):
+        return value.strip().lower() in ("1", "true", "yes", "on")
+    return bool(value)
+
+
+def _int_param(params: dict[str, Any], name: str, default: int) -> int:
+    value = params.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"invalid {name}: {value!r}") from exc
+
+
+def _float_param(params: dict[str, Any], name: str, default: float) -> float:
+    value = params.get(name, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid {name}: {value!r}") from exc
+
+
+def _check_cap(name: str, value: float, limit: int) -> None:
+    """413 (``too_large``) when a size parameter exceeds its cap."""
+    if value > limit:
+        raise TooLargeError(f"{name} of {value:g} exceeds the limit of {limit}")
+
+
+# --------------------------------------------------------------------------- #
 # handlers
 # --------------------------------------------------------------------------- #
 def handle_list_use_cases(state: ServerState, params: dict[str, Any]) -> dict[str, Any]:
@@ -89,16 +160,25 @@ def handle_load_use_case(state: ServerState, params: dict[str, Any]) -> dict[str
     key = params.get("use_case")
     if not key:
         raise ProtocolError("'use_case' parameter is required")
+    if not isinstance(key, str):
+        raise ProtocolError(f"invalid use_case: {key!r} (expected a use-case key)")
     use_case = _get_use_case_or_error(key)
     dataset_kwargs = params.get("dataset_kwargs", {})
     if not isinstance(dataset_kwargs, dict):
         raise ProtocolError("'dataset_kwargs' must be an object")
-    state.session = WhatIfSession.from_use_case(
-        key,
-        dataset_kwargs=dataset_kwargs,
-        random_state=params.get("random_state", 0),
-        model_cache=state.model_cache,
-    )
+    rows = dataset_kwargs.get(use_case.size_parameter)
+    if isinstance(rows, (int, float)):
+        _check_cap(f"dataset_kwargs.{use_case.size_parameter}", rows, MAX_ROWS)
+    max_rows = _int_param(params, "max_rows", 20)
+    try:
+        state.session = WhatIfSession.from_use_case(
+            key,
+            dataset_kwargs=dataset_kwargs,
+            random_state=params.get("random_state", 0),
+            model_cache=state.model_cache,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid dataset_kwargs: {exc}") from exc
     state.use_case_key = key
     # remember the load parameters (they are the session's rebuild recipe)
     # and journal them through the registry's persistence hook
@@ -109,7 +189,7 @@ def handle_load_use_case(state: ServerState, params: dict[str, Any]) -> dict[str
         "use_case": use_case.key,
         "kpi": use_case.kpi,
         "drivers": state.session.drivers,
-        "table": frame_preview(state.session.frame, max_rows=int(params.get("max_rows", 20))),
+        "table": frame_preview(state.session.frame, max_rows=max_rows),
     }
 
 
@@ -167,7 +247,7 @@ def handle_driver_importance(
     """(E) Driver importance analysis."""
     session = state.require_session()
     result = session.driver_importance(
-        verify=bool(params.get("verify", True)),
+        verify=parse_flag(params.get("verify", True)),
         checkpoint=checkpoint,
         executor=executor,
     )
@@ -226,11 +306,17 @@ def handle_comparison(
 ) -> dict[str, Any]:
     """(H) Comparison analysis across drivers and perturbation magnitudes."""
     session = state.require_session()
-    amounts = params.get("amounts", (-40.0, -20.0, 0.0, 20.0, 40.0))
+    drivers = params.get("drivers")
+    try:
+        amounts = [float(a) for a in params.get("amounts", (-40.0, -20.0, 0.0, 20.0, 40.0))]
+        n_drivers = len(session.drivers if drivers is None else drivers)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid drivers or amounts: {exc}") from exc
+    _check_cap("drivers x amounts", n_drivers * len(amounts), MAX_SCENARIOS)
     try:
         result = session.comparison_analysis(
-            params.get("drivers"),
-            [float(a) for a in amounts],
+            drivers,
+            amounts,
             mode=params.get("mode", "percentage"),
             checkpoint=checkpoint,
             executor=executor,
@@ -241,14 +327,21 @@ def handle_comparison(
     return to_json_safe(result)
 
 
-def handle_per_data(state: ServerState, params: dict[str, Any]) -> dict[str, Any]:
+def handle_per_data(
+    state: ServerState,
+    params: dict[str, Any],
+    checkpoint: Callable[[float], None] | None = None,  # accepted for job-signature parity
+    executor=None,
+    emit: Callable[..., None] | None = None,
+) -> dict[str, Any]:
     """(H) Per-data analysis of a single row."""
     session = state.require_session()
     if "row_index" not in params:
         raise ProtocolError("'row_index' parameter is required")
+    row_index = _int_param(params, "row_index", 0)
     perturbations, _ = _parse_perturbations(params)
     try:
-        result = session.per_data_analysis(int(params["row_index"]), perturbations)
+        result = session.per_data_analysis(row_index, perturbations)
     except (ValueError, IndexError) as exc:
         raise ProtocolError(str(exc)) from exc
     return to_json_safe(result)
@@ -263,13 +356,14 @@ def handle_goal_inversion(
 ) -> dict[str, Any]:
     """(I) Free goal inversion (maximize / minimize / target)."""
     session = state.require_session()
+    n_calls = _n_calls(params)
     try:
         result = session.goal_inversion(
             params.get("goal", "maximize"),
             target_value=params.get("target_value"),
             drivers=params.get("drivers"),
             mode=params.get("mode", "percentage"),
-            n_calls=int(params.get("n_calls", 30)),
+            n_calls=n_calls,
             optimizer=params.get("optimizer", "bayesian"),
             track_as=params.get("track_as"),
             checkpoint=checkpoint,
@@ -302,6 +396,7 @@ def handle_constrained(
             bounds = [DriverBound.from_dict(item) for item in raw_bounds]
     except (TypeError, ValueError, KeyError, IndexError) as exc:
         raise ProtocolError(f"invalid bounds: {exc}") from exc
+    n_calls = _n_calls(params)
     try:
         result = session.constrained_analysis(
             bounds,
@@ -309,7 +404,7 @@ def handle_constrained(
             target_value=params.get("target_value"),
             drivers=params.get("drivers"),
             mode=params.get("mode", "percentage"),
-            n_calls=int(params.get("n_calls", 30)),
+            n_calls=n_calls,
             optimizer=params.get("optimizer", "bayesian"),
             track_as=params.get("track_as"),
             checkpoint=checkpoint,
@@ -319,8 +414,35 @@ def handle_constrained(
     return to_json_safe(result)
 
 
+def _n_calls(params: dict[str, Any]) -> int:
+    n_calls = _int_param(params, "n_calls", 30)
+    _check_cap("n_calls", n_calls, MAX_N_CALLS)
+    return n_calls
+
+
+def _declared_levels(axis: Any) -> float:
+    """How many amounts an axis payload declares, worked out without
+    building them (a malformed axis counts 1: parsing rejects it)."""
+    try:
+        if "amounts" in axis:
+            return len(axis["amounts"])
+        if "step" in axis:
+            start, stop, step = (float(axis[k]) for k in ("start", "stop", "step"))
+            return (stop - start) / step + 1
+        if "num" in axis:
+            return float(axis["num"])
+    except (TypeError, ValueError, KeyError, ZeroDivisionError):
+        pass
+    return 1.0
+
+
 def _parse_scenario_space(params: dict[str, Any]):
-    """Parse and canonicalise the ``space`` parameter of sweep actions."""
+    """Parse and canonicalise the ``space`` parameter of sweep actions.
+
+    The scenario cap is checked on the payload before any axis is built: a
+    step grid's amounts are materialised eagerly, so a huge declared grid
+    would cost memory before it cost scoring time.
+    """
     from ..scenarios import ScenarioSpace
 
     payload = params.get("space")
@@ -329,6 +451,20 @@ def _parse_scenario_space(params: dict[str, Any]):
             "'space' parameter is required and must be an object "
             "(see ScenarioSpace.to_dict)"
         )
+    axes = payload.get("axes")
+    if isinstance(axes, list):
+        levels = [_declared_levels(axis) for axis in axes]
+        for level in levels:
+            _check_cap("axis levels", level, MAX_SCENARIOS)
+        sample = payload.get("sample")
+        if isinstance(sample, dict):
+            try:
+                n = float(sample.get("n", 0))
+            except (TypeError, ValueError):
+                n = 0.0  # parsing rejects it
+            _check_cap("sample.n", n, MAX_SCENARIOS)
+        else:
+            _check_cap("scenario grid size", math.prod(levels), MAX_SCENARIOS)
     try:
         return ScenarioSpace.from_dict(payload)
     except (TypeError, ValueError, KeyError) as exc:
@@ -355,7 +491,7 @@ def handle_run_sweep(
         result = session.sweep(
             space,
             goal=str(params.get("goal", "maximize")),
-            top_k=int(params.get("top_k", 10)),
+            top_k=_int_param(params, "top_k", 10),
             cohort=params.get("cohort"),
             track_as=params.get("track_as"),
             checkpoint=checkpoint,
@@ -374,7 +510,7 @@ def _parse_page(params: dict[str, Any]) -> tuple[int | None, int]:
     try:
         limit = None if limit is None else max(0, int(limit))
         offset = max(0, int(offset))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(
             f"invalid pagination: limit={params.get('limit')!r} "
             f"offset={params.get('offset')!r}"
@@ -483,6 +619,15 @@ def handle_list_sessions(server: "SystemDServer", params: dict[str, Any]) -> dic
         limit=limit,
         offset=offset,
     )
+
+
+def handle_get_session(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
+    """One session's summary, live or dormant (read without recovering it)."""
+    session_id = str(params.get("session_id") or "")
+    for summary in server.registry.list_sessions():
+        if summary["session_id"] == session_id:
+            return {"session": summary}
+    raise NotFoundError(f"unknown session {session_id!r}")
 
 
 def handle_server_stats(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
@@ -645,15 +790,11 @@ def handle_submit(server: "SystemDServer", params: dict[str, Any]) -> dict[str, 
     job_params = params.get("params", {})
     if not isinstance(job_params, dict):
         raise ProtocolError("'params' must be an object")
-    try:
-        priority = int(params.get("priority", 0))
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid priority: {params.get('priority')!r}") from exc
     job, coalesced = server.engine.submit(
         str(action),
         job_params,
         session_id=str(params.get("session_id") or ""),
-        priority=priority,
+        priority=_int_param(params, "priority", 0),
     )
     return {"job": job.to_dict(now=server.engine.now()), "coalesced": coalesced}
 
@@ -679,11 +820,12 @@ def handle_job_result(server: "SystemDServer", params: dict[str, Any]) -> dict[s
     a partial analysis for a result.
     """
     job_id = _require_job_id(params)
-    wait = bool(params.get("wait", True))
-    try:
-        timeout = float(params.get("timeout_s", 30.0))
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid timeout_s: {params.get('timeout_s')!r}") from exc
+    wait = parse_flag(params.get("wait", True))
+    timeout = _float_param(params, "timeout_s", 30.0)
+    if not math.isfinite(timeout) or timeout > MAX_WAIT_S:
+        raise ProtocolError(
+            f"invalid timeout_s: {timeout!r} (at most {MAX_WAIT_S:g} seconds)"
+        )
     job = _job_lookup(
         job_id, lambda: server.engine.result(job_id, wait=wait, timeout=timeout)
     )
@@ -711,14 +853,19 @@ def handle_list_jobs(server: "SystemDServer", params: dict[str, Any]) -> dict[st
 
     Pagination: ``limit``/``offset`` slice the stable ``(submitted_at,
     job_id)`` ordering; ``total`` always reports the unsliced match count.
+    ``states`` is a list or, as a query string delivers it, comma-separated.
     """
     states = params.get("states")
+    if isinstance(states, str):
+        states = [s for s in states.split(",") if s]
     if states is not None and not isinstance(states, (list, tuple)):
         raise ProtocolError("'states' must be a list of job states")
     session_id = params.get("session_id")
     limit, offset = _parse_page(params)
     state_filter = [str(s) for s in states] if states is not None else None
     sid_filter = str(session_id) if session_id else None
+    if sid_filter is not None and not server._session_exists(sid_filter):
+        raise NotFoundError(f"unknown session {sid_filter!r}")
     return _page_envelope(
         "jobs",
         server.engine.list_jobs(
@@ -750,28 +897,14 @@ def handle_sweep(server: "SystemDServer", params: dict[str, Any]) -> dict[str, A
         "space": space.to_dict(),
         "space_hash": space.space_hash(),
         "goal": str(params.get("goal", "maximize")),
-        "top_k": int(params.get("top_k", 10)),
+        "top_k": _int_param(params, "top_k", 10),
     }
     if params.get("cohort") is not None:
         job_params["cohort"] = str(params["cohort"])
     if params.get("track_as") is not None:
         job_params["track_as"] = str(params["track_as"])
-    try:
-        priority = int(params.get("priority", 0))
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"invalid priority: {params.get('priority')!r}") from exc
-    job, coalesced = server.engine.submit(
-        "run_sweep",
-        job_params,
-        session_id=str(params.get("session_id") or ""),
-        priority=priority,
-    )
-    return {
-        "job": job.to_dict(now=server.engine.now()),
-        "coalesced": coalesced,
-        "space_hash": job_params["space_hash"],
-        "space_size": space.size,
-    }
+    submitted = handle_submit(server, {**params, "action": "run_sweep", "params": job_params})
+    return {**submitted, "space_hash": job_params["space_hash"], "space_size": space.size}
 
 
 def handle_sweep_result(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
@@ -789,13 +922,9 @@ def handle_sweep_result(server: "SystemDServer", params: dict[str, Any]) -> dict
             raise ProtocolError(
                 "either 'job_id' or 'space_hash' is required for sweep_result"
             )
-        # imported here like UnknownSessionError above: the registry imports
-        # ServerState from this module, so a top-level import would be circular
-        from .registry import DEFAULT_SESSION_ID
-
         # resolve the session exactly like submission does: an omitted id
         # means the default session, never "any session with this hash"
-        session_id = str(params.get("session_id") or "") or DEFAULT_SESSION_ID
+        session_id = _resolve_session_id(params)
         candidates = [
             job
             for job in server.engine.store.list_jobs(session_id=session_id)
@@ -811,60 +940,149 @@ def handle_sweep_result(server: "SystemDServer", params: dict[str, Any]) -> dict
     return handle_job_result(server, {**params, "job_id": job_id})
 
 
-#: Dispatch table used by the server app.
-HANDLERS: dict[str, Callable[[ServerState, dict[str, Any]], dict[str, Any]]] = {
-    "list_use_cases": handle_list_use_cases,
-    "load_use_case": handle_load_use_case,
-    "describe_dataset": handle_describe_dataset,
-    "set_kpi": handle_set_kpi,
-    "set_drivers": handle_set_drivers,
-    "driver_importance": handle_driver_importance,
-    "sensitivity": handle_sensitivity,
-    "comparison": handle_comparison,
-    "per_data": handle_per_data,
-    "goal_inversion": handle_goal_inversion,
-    "constrained": handle_constrained,
-    "run_sweep": handle_run_sweep,
-    "list_scenarios": handle_list_scenarios,
-}
-
-#: Server-scoped dispatch table (session lifecycle, observability, and the
-#: async engine); these handlers run outside any per-session lock — ``submit``
-#: returns immediately and the job acquires the session lock on a worker.
-SERVER_HANDLERS: dict[str, Callable[["SystemDServer", dict[str, Any]], dict[str, Any]]] = {
-    "create_session": handle_create_session,
-    "close_session": handle_close_session,
-    "list_sessions": handle_list_sessions,
-    "server_stats": handle_server_stats,
-    "metrics": handle_metrics,
-    "submit": handle_submit,
-    "job_status": handle_job_status,
-    "job_result": handle_job_result,
-    "cancel_job": handle_cancel_job,
-    "list_jobs": handle_list_jobs,
-    "sweep": handle_sweep,
-    "sweep_result": handle_sweep_result,
-    "create_version": handle_create_version,
-    "list_versions": handle_list_versions,
-    "resolve_share": handle_resolve_share,
-    "persist_stats": handle_persist_stats,
-}
-
-
 # --------------------------------------------------------------------------- #
-# job-able wrappers: the same analysis handlers, driven by an engine worker
+# the operation table: every derived registry and the docs read it
 # --------------------------------------------------------------------------- #
-def _checkpointed(
-    handler: Callable[
-        [ServerState, dict[str, Any], Callable[[float], None] | None],
-        dict[str, Any],
-    ],
-) -> Callable[[ServerState, dict[str, Any], "JobContext"], dict[str, Any]]:
-    """Adapt a checkpoint-aware handler to the job-runner calling convention."""
+@dataclass(frozen=True)
+class Operation:
+    """One backend operation, declared once.
 
-    def run(
-        state: ServerState, params: dict[str, Any], context: "JobContext"
-    ) -> dict[str, Any]:
+    Attributes
+    ----------
+    action:
+        The protocol action name.
+    handler:
+        The handler; ``None`` for a route the HTTP adapter writes itself
+        (the SSE stream, Prometheus text), which is no action.
+    doc:
+        One line for the generated docs.
+    scope:
+        ``"session"`` handlers get the routed session's :class:`ServerState`
+        and run under its lock; ``"server"`` handlers get the server.
+    job:
+        Whether the action can run as an engine job.
+    pool:
+        Whether such a job fans out to the process pool when one is set up.
+    route:
+        ``"METHOD /api/v1/path"``, with ``{sid}`` / ``{jid}`` / ``{name}``
+        path parameters and, at most once in the table, a ``?flag=1``
+        selector that must be set for the route to match; ``""`` for none.
+        Routes match in table order.
+    status:
+        HTTP status of a success on the route (201 for creates).
+    v1_only:
+        Served through ``/api/v1`` only; bare-POST envelopes naming it are
+        rejected (deprecation stage 2).
+    """
+
+    action: str
+    handler: Callable[..., dict[str, Any]] | None
+    doc: str
+    scope: str = "session"
+    job: bool = False
+    pool: bool = False
+    route: str = ""
+    status: int = 200
+    v1_only: bool = False
+
+
+# Routes match in table order.
+# fmt: off
+OPERATIONS: tuple[Operation, ...] = (
+    # -- sessions and server state
+    Operation("create_session", handle_create_session, "register a session (returns its id "
+              "and a read-only `share_id`); loads `use_case` when given",
+              scope="server", route="POST /api/v1/sessions", status=201),
+    Operation("list_sessions", handle_list_sessions,
+              "summaries of every session, live and dormant (`?limit=&offset=`)",
+              scope="server", route="GET /api/v1/sessions"),
+    # before every GET /sessions/{sid}/...: /sessions/share/x names a share
+    Operation("resolve_share", handle_resolve_share,
+              "resolve a read-only share id to its session summary",
+              scope="server", route="GET /api/v1/sessions/share/{share_id}", v1_only=True),
+    Operation("get_session", handle_get_session, "one session's summary, live or dormant",
+              scope="server", route="GET /api/v1/sessions/{sid}", v1_only=True),
+    Operation("close_session", handle_close_session,
+              "unregister a session and delete its durable record",
+              scope="server", route="DELETE /api/v1/sessions/{sid}"),
+    Operation("server_stats", handle_server_stats,
+              "registry, model-cache, engine and request counters", scope="server"),
+    Operation("metrics", handle_metrics, "JSON twin of the Prometheus exposition",
+              scope="server"),
+    Operation("prometheus", None,
+              "Prometheus text exposition; `?format=json` answers the `metrics` action",
+              route="GET /api/v1/metrics"),
+    # -- the paper's views (Figure 2)
+    Operation("list_use_cases", handle_list_use_cases, "(A) use-case selection"),
+    Operation("load_use_case", handle_load_use_case,
+              "(A)+(B) load a use case's dataset, return a table preview"),
+    Operation("describe_dataset", handle_describe_dataset, "(B) table-view metadata"),
+    Operation("set_kpi", handle_set_kpi, "(C) KPI selection"),
+    Operation("set_drivers", handle_set_drivers, "(D) driver selection"),
+    Operation("driver_importance", handle_driver_importance, "(E) driver importance analysis",
+              job=True, pool=True),
+    Operation("sensitivity", handle_sensitivity,
+              "(F)+(G)+(H) perturb drivers, score the KPI over every row", job=True, pool=True),
+    Operation("comparison", handle_comparison,
+              "(H) KPI trend per driver across perturbation amounts", job=True, pool=True),
+    # thread-only: one row is sub-millisecond, cheaper than a pool round trip
+    Operation("per_data", handle_per_data, "(H) per-data analysis of one row", job=True),
+    Operation("goal_inversion", handle_goal_inversion,
+              "(I) driver changes that maximize, minimize or hit a KPI target",
+              job=True, pool=True),
+    # thread-only: its constraint callables cannot be pickled to a worker
+    Operation("constrained", handle_constrained,
+              "(G)+(I) goal inversion within per-driver bounds", job=True),
+    Operation("run_sweep", handle_run_sweep,
+              "score and rank a whole scenario space (`sweep` queues it as a job)",
+              job=True, pool=True),
+    Operation("list_scenarios", handle_list_scenarios,
+              "the scenarios (options) tracked so far (`?limit=&offset=`)",
+              route="GET /api/v1/sessions/{sid}/scenarios"),
+    # -- the async analysis engine
+    Operation("submit", handle_submit, "queue a job-able action as a background job; "
+              "identical in-flight submissions coalesce",
+              scope="server", route="POST /api/v1/sessions/{sid}/jobs", status=201),
+    Operation("list_jobs", handle_list_jobs,
+              "tracked jobs plus engine counters (`?limit=&offset=&states=`)",
+              scope="server", route="GET /api/v1/sessions/{sid}/jobs"),
+    Operation("job_result", handle_job_result,
+              "a finished job's payload, waiting up to `timeout_s` unless `wait=0`",
+              scope="server", route="GET /api/v1/sessions/{sid}/jobs/{jid}?result=1"),
+    Operation("job_status", handle_job_status,
+              "a job's state, progress, timings and span timeline",
+              scope="server", route="GET /api/v1/sessions/{sid}/jobs/{jid}"),
+    Operation("cancel_job", handle_cancel_job, "cooperatively cancel a pending or running job",
+              scope="server", route="DELETE /api/v1/sessions/{sid}/jobs/{jid}"),
+    Operation("job_events", None,
+              "**SSE stream** of the job's events (`Last-Event-ID` or `?after=` resumes)",
+              route="GET /api/v1/sessions/{sid}/jobs/{jid}/events"),
+    Operation("sweep", handle_sweep,
+              "queue a scenario-space sweep as a job; identical spaces coalesce",
+              scope="server"),
+    Operation("sweep_result", handle_sweep_result,
+              "a sweep job's ranked result, by job id or space hash", scope="server"),
+    # -- ledger versions and durable state
+    Operation("create_version", handle_create_version,
+              "snapshot the scenario ledger as an immutable, named version",
+              scope="server", route="POST /api/v1/sessions/{sid}/versions", status=201,
+              v1_only=True),
+    Operation("list_versions", handle_list_versions,
+              "a session's ledger versions (`?limit=&offset=`)",
+              scope="server", route="GET /api/v1/sessions/{sid}/versions", v1_only=True),
+    Operation("persist_stats", handle_persist_stats,
+              "durable-state backend identity, row counts and recovery counters",
+              scope="server", route="GET /api/v1/persistence", v1_only=True),
+)
+# fmt: on
+
+
+def _job_runner(handler: Callable[..., dict[str, Any]]) -> Callable[..., dict[str, Any]]:
+    """Adapt a job-able handler to the engine's ``(state, params, context)``
+    convention, threading the job's checkpoint, executor and event sink."""
+
+    def run(state: ServerState, params: dict[str, Any], context: "JobContext") -> dict[str, Any]:
+        context.checkpoint(0.0)  # a cancel that landed before the run starts
         return handler(
             state,
             params,
@@ -876,29 +1094,19 @@ def _checkpointed(
     return run
 
 
-def _plain(
-    handler: Callable[[ServerState, dict[str, Any]], dict[str, Any]],
-) -> Callable[[ServerState, dict[str, Any], "JobContext"], dict[str, Any]]:
-    """Adapt a handler with no chunked runner (fast actions): it runs once,
-    checkpointing only at the start so a pre-run cancellation still lands."""
-
-    def run(state: ServerState, params: dict[str, Any], context: "JobContext") -> dict[str, Any]:
-        context.checkpoint(0.0)
-        return handler(state, params)
-
-    return run
-
-
-#: Actions that may run asynchronously as engine jobs, mapped to wrappers
-#: with the ``(state, params, job_context)`` signature.  The heavy analyses
-#: thread the job's checkpoint through their chunked runners; the payload of
-#: a job is bitwise identical to the synchronous action's response data.
-JOB_HANDLERS: dict[str, Callable[[ServerState, dict[str, Any], "JobContext"], dict[str, Any]]] = {
-    "driver_importance": _checkpointed(handle_driver_importance),
-    "sensitivity": _checkpointed(handle_sensitivity),
-    "comparison": _checkpointed(handle_comparison),
-    "per_data": _plain(handle_per_data),
-    "goal_inversion": _checkpointed(handle_goal_inversion),
-    "constrained": _checkpointed(handle_constrained),
-    "run_sweep": _checkpointed(handle_run_sweep),
+#: The action vocabulary: every operation with a handler.
+ACTIONS = tuple(op.action for op in OPERATIONS if op.handler is not None)
+#: Actions served through their ``/api/v1`` routes only.
+V1_ONLY_ACTIONS = frozenset(op.action for op in OPERATIONS if op.v1_only)
+#: Session-scoped dispatch: ``handler(state, params)`` under the session lock.
+HANDLERS = {op.action: op.handler for op in OPERATIONS if op.handler and op.scope == "session"}
+#: Server-scoped dispatch: ``handler(server, params)``, outside any session
+#: lock (``submit`` returns at once; the job takes the lock on a worker).
+SERVER_HANDLERS = {
+    op.action: op.handler for op in OPERATIONS if op.handler and op.scope == "server"
 }
+#: Job-able actions, run by engine workers as ``runner(state, params, context)``;
+#: a job's payload is bitwise identical to the synchronous action's data.
+JOB_HANDLERS = {op.action: _job_runner(op.handler) for op in OPERATIONS if op.job}
+#: Job actions fanned out to the process executor when one is configured.
+PROCESS_ACTIONS = frozenset(op.action for op in OPERATIONS if op.pool)

@@ -2,69 +2,12 @@
 
 The original SystemD has a browser client that sends JSON requests to a Python
 backend and re-renders views from the JSON responses.  This module defines the
-message envelope and the action vocabulary, one action per view/interaction in
-Figure 2:
-
-===================  ======================================================
-action               paper view / interaction
-===================  ======================================================
-``list_use_cases``   (A) use-case selection
-``load_use_case``    (A)+(B) load dataset, return table preview
-``describe_dataset`` (B) table view metadata
-``set_kpi``          (C) KPI selection
-``set_drivers``      (D) driver list selection
-``driver_importance``(E) driver importance analysis
-``sensitivity``      (F)+(G)+(H) perturbation options and sensitivity run
-``comparison``       (H) comparison analysis
-``per_data``         (H) per-data analysis
-``goal_inversion``   (I) goal inversion analysis
-``constrained``      (G)+(I) constrained analysis
-``run_sweep``        scenario-space sweep (synchronous execution)
-``list_scenarios``   options tracking
-===================  ======================================================
-
-Beyond the paper's single-analysis vocabulary, the backend serves many
-concurrent analyses (see :mod:`repro.server.registry`):
-
-===================  ======================================================
-action               session management & durable state
-===================  ======================================================
-``create_session``   register a new analysis session, returns its id and a
-                     read-only ``share_id``
-``close_session``    unregister a session (removes its durable record)
-``list_sessions``    summaries of every session, live and dormant, paginated
-                     with ``limit``/``offset``/``total`` over the stable
-                     ``(created_at, session_id)`` ordering
-``server_stats``     registry, model-cache, engine, and request counters
-``metrics``          JSON twin of the Prometheus metrics exposition
-``create_version``   snapshot a session's scenario ledger as an immutable,
-                     durably persisted version (*/api/v1 only*)
-``list_versions``    list a session's ledger versions (*/api/v1 only*)
-``resolve_share``    resolve a read-only share id to its session summary
-                     (*/api/v1 only*)
-``persist_stats``    durable-state backend identity and row counts
-                     (*/api/v1 only*)
-===================  ======================================================
-
-Long-running analyses can run without blocking the caller through the async
-analysis engine (see :mod:`repro.engine`):
-
-===================  ======================================================
-action               async analysis engine
-===================  ======================================================
-``submit``           queue any analysis action as a background job; returns
-                     the job snapshot and whether it coalesced onto an
-                     identical in-flight job
-``job_status``       lifecycle state, progress fraction, and timings
-``job_result``       fetch (optionally wait for) a finished job's payload
-``cancel_job``       cooperatively cancel a pending or running job
-``list_jobs``        snapshots of tracked jobs plus engine counters
-``sweep``            queue a scenario-space sweep as a background job;
-                     identical spaces coalesce on (session, model
-                     fingerprint, space hash)
-``sweep_result``     fetch a sweep job's ranked result, by job id or by
-                     the space hash ``sweep`` returned
-===================  ======================================================
+message envelope; the action vocabulary — one action per view or interaction
+of the paper's Figure 2, plus session management, the async analysis engine
+and durable state — is the operation table
+:data:`repro.server.handlers.OPERATIONS`, which also declares each action's
+``/api/v1`` route.  The README's action and route tables are generated from
+it.
 
 Every request may carry a ``session_id`` (envelope field or inside
 ``params``) routing it to one registered session; requests without one fall
@@ -80,44 +23,23 @@ and benchmarks, or the stdlib HTTP wrapper in :mod:`repro.server.app`).
 header), so clients can detect envelope evolution without sniffing fields.
 Failures additionally carry ``error_kind`` — ``"protocol"`` (malformed or
 invalid request), ``"not_found"`` (unknown session/job/resource),
-``"conflict"`` (duplicate creation), or ``"internal"`` — which the
-resource-routed HTTP API maps onto 400/404/409/500 status codes.
+``"conflict"`` (duplicate creation), ``"too_large"`` (a size over its cap),
+or ``"internal"`` — which the resource-routed HTTP API maps onto
+400/404/409/413/500 status codes.
 
 **HTTP transports and the bare-POST deprecation path.**  The original wire
 transport — POST one request envelope to any path, always receiving 200 with
 errors inside the envelope — remains fully supported and byte-compatible
 (modulo the additive ``api_version``/``error_kind`` fields above).  New
-clients should prefer the resource-routed API served alongside it:
-
-=========================================================  =================
-route                                                      action(s)
-=========================================================  =================
-``GET /api/v1/sessions``                                   ``list_sessions``
-``POST /api/v1/sessions``                                  ``create_session``
-``GET /api/v1/sessions/{sid}``                             one session's summary
-``DELETE /api/v1/sessions/{sid}``                          ``close_session``
-``GET /api/v1/sessions/{sid}/jobs``                        ``list_jobs`` (paginated)
-``POST /api/v1/sessions/{sid}/jobs``                       ``submit``
-``GET /api/v1/sessions/{sid}/jobs/{jid}``                  ``job_status`` / ``job_result``
-``DELETE /api/v1/sessions/{sid}/jobs/{jid}``               ``cancel_job``
-``GET /api/v1/sessions/{sid}/jobs/{jid}/events``           SSE event stream
-``GET /api/v1/sessions/{sid}/scenarios``                   ``list_scenarios`` (paginated)
-``GET /api/v1/sessions/{sid}/versions``                    ``list_versions``
-``POST /api/v1/sessions/{sid}/versions``                   ``create_version``
-``GET /api/v1/sessions/share/{share_id}``                  ``resolve_share``
-``GET /api/v1/persistence``                                ``persist_stats``
-``GET /api/v1/metrics``                                    Prometheus text (``?format=json`` for the ``metrics`` action)
-=========================================================  =================
-
-Deprecation path for the bare-POST protocol — **stage 2 is in effect**:
+clients should prefer the resource-routed ``/api/v1`` API served alongside
+it.  Deprecation path for the bare-POST protocol — **stage 2 is in effect**:
 
 1. *(done)* both transports served, bare POST was the compatibility surface;
 2. **(now)** every bare-POST response carries a ``deprecation`` notice field
    (and HTTP bare-POST responses a ``Warning: 299`` header), and new
-   capabilities land on ``/api/v1`` only — the ledger-versioning, share-id,
-   and persistence actions (:data:`V1_ONLY_ACTIONS`) are rejected with a
-   protocol error naming their ``/api/v1`` route when sent as bare-POST
-   envelopes;
+   capabilities land on ``/api/v1`` only — the operations declared
+   ``v1_only`` are rejected with a protocol error naming their ``/api/v1``
+   route when sent as bare-POST envelopes;
 3. *(eventually)* bare POST becomes opt-in via server configuration.
 
 No stage breaks the envelope: ``ok``/``data``/``error`` keep their meaning
@@ -130,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
-    "ACTIONS",
     "API_VERSION",
     "BARE_POST_DEPRECATION",
     "ConflictError",
@@ -138,52 +59,12 @@ __all__ = [
     "ProtocolError",
     "Request",
     "Response",
-    "V1_ONLY_ACTIONS",
+    "TooLargeError",
 ]
 
 #: Version stamped into every response envelope (and the
 #: ``X-Repro-Api-Version`` HTTP header).
 API_VERSION = "1"
-
-#: The full action vocabulary of the backend.
-ACTIONS = (
-    "list_use_cases",
-    "load_use_case",
-    "describe_dataset",
-    "set_kpi",
-    "set_drivers",
-    "driver_importance",
-    "sensitivity",
-    "comparison",
-    "per_data",
-    "goal_inversion",
-    "constrained",
-    "run_sweep",
-    "list_scenarios",
-    "create_session",
-    "close_session",
-    "list_sessions",
-    "server_stats",
-    "metrics",
-    "submit",
-    "job_status",
-    "job_result",
-    "cancel_job",
-    "list_jobs",
-    "sweep",
-    "sweep_result",
-    "create_version",
-    "list_versions",
-    "resolve_share",
-    "persist_stats",
-)
-
-#: Actions introduced at deprecation stage 2, served exclusively through
-#: their ``/api/v1`` routes.  Bare-POST envelopes naming one of these are
-#: rejected with a protocol error pointing at the route.
-V1_ONLY_ACTIONS = frozenset(
-    {"create_version", "list_versions", "resolve_share", "persist_stats"}
-)
 
 #: The stage-2 notice attached to every bare-POST response envelope (see the
 #: deprecation path in the module docstring).
@@ -213,6 +94,14 @@ class ConflictError(ProtocolError):
     """
 
 
+class TooLargeError(ProtocolError):
+    """Raised when a size parameter exceeds its cap (see the ``MAX_*``
+    constants of :mod:`repro.server.handlers`).
+
+    Maps to ``error_kind == "too_large"`` and HTTP 413 on the resource routes.
+    """
+
+
 @dataclass(frozen=True)
 class Request:
     """A client request.
@@ -220,7 +109,7 @@ class Request:
     Attributes
     ----------
     action:
-        One of :data:`ACTIONS`.
+        One of :data:`repro.server.handlers.ACTIONS`.
     params:
         Action-specific parameters (driver lists, perturbations, bounds, ...).
     request_id:
@@ -235,6 +124,8 @@ class Request:
     session_id: str = ""
 
     def __post_init__(self) -> None:
+        from .handlers import ACTIONS  # the operation table imports this module
+
         if self.action not in ACTIONS:
             raise ProtocolError(
                 f"unknown action {self.action!r}; valid actions: {', '.join(ACTIONS)}"
@@ -279,8 +170,8 @@ class Response:
         Error message when ``ok`` is False.
     error_kind:
         Failure taxonomy when ``ok`` is False — ``"protocol"``,
-        ``"not_found"``, ``"conflict"``, or ``"internal"`` (empty on
-        success).  Serialised only when set, keeping success envelopes
+        ``"not_found"``, ``"conflict"``, ``"too_large"``, or ``"internal"``
+        (empty on success).  Serialised only when set, keeping success envelopes
         byte-compatible with earlier clients.
     request_id:
         Correlation id echoed from the request.

@@ -1,6 +1,4 @@
-"""Bad fixture engine: no thread-only reasons, terminal publish outside _finalize."""
-
-PROCESS_ACTIONS = frozenset({"alpha"})
+"""Bad fixture engine: a terminal publish outside _finalize."""
 
 
 class Engine:

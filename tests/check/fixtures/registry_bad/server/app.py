@@ -1,22 +1,7 @@
-"""Bad fixture app: dangling route target, orphan pattern, unstamped JSON."""
-
-import re
-
-_R_SESSIONS = re.compile(r"^/api/v1/sessions/?$")
-# REG003: defined but never routed
-_R_ORPHAN = re.compile(r"^/api/v1/orphan/?$")
-
-_ROUTES = (
-    ("GET", _R_SESSIONS, "_rest_list_sessions"),
-    # REG003: no such method anywhere in this module
-    ("POST", _R_SESSIONS, "_rest_missing"),
-)
+"""Bad fixture app: a JSON response path that does not stamp the API version."""
 
 
 class Server:
-    def _rest_list_sessions(self, match, query, body):
-        return 200, {}
-
     def _send_json(self, status, payload):
         # REG003: response path without the X-Repro-Api-Version header
         return status, payload

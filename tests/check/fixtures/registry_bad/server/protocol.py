@@ -1,22 +1,6 @@
-"""Bad fixture protocol module.
-
-Documented actions:
-
-==========  =======================
-action      purpose
-==========  =======================
-``alpha``   the only documented one
-==========  =======================
-
-REG001: the second action is missing from the table above.
-"""
+"""Bad fixture protocol module: the envelope lacks the API version."""
 
 API_VERSION = "1"
-
-ACTIONS = (
-    "alpha",
-    "beta",
-)
 
 
 class Response:

@@ -1,8 +1,4 @@
-"""Good fixture engine: reasons recorded, terminal publishes confined."""
-
-#: CPU-bound actions routed to the process pool.  ``alpha`` stays
-#: thread-local: it is sub-millisecond.
-PROCESS_ACTIONS = frozenset({"beta"})
+"""Good fixture engine: terminal publishes confined to _finalize."""
 
 
 class Engine:

@@ -1,18 +1,9 @@
-"""Good fixture app: routes resolve, patterns used, versions stamped."""
-
-import re
+"""Good fixture app: every response path stamps the API version."""
 
 API_VERSION = "1"
 
-_R_SESSIONS = re.compile(r"^/api/v1/sessions/?$")
-
-_ROUTES = (("GET", _R_SESSIONS, "_rest_list_sessions"),)
-
 
 class Server:
-    def _rest_list_sessions(self, match, query, body):
-        return 200, {}
-
     def _send_json(self, status, payload):
         headers = {"X-Repro-Api-Version": API_VERSION}
         return status, headers, payload

@@ -1,29 +1,6 @@
-"""Good fixture protocol module.
-
-Documented actions:
-
-==========  =====================
-action      purpose
-==========  =====================
-``alpha``   session-scoped action
-``beta``    server-scoped action
-==========  =====================
-
-Routes:
-
-=========================  ==============
-route                      action
-=========================  ==============
-``GET /api/v1/sessions``   ``alpha``
-=========================  ==============
-"""
+"""Good fixture protocol module: the envelope carries the API version."""
 
 API_VERSION = "1"
-
-ACTIONS = (
-    "alpha",
-    "beta",
-)
 
 
 class Response:

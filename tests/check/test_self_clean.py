@@ -75,7 +75,7 @@ def test_unknown_rule_filter_yields_no_findings():
     assert run(default_root(), rule_ids=["NOPE999"]) == []
 
 
-@pytest.mark.parametrize("rule_id", ["LCK001", "DET001", "PKL001", "REG006"])
+@pytest.mark.parametrize("rule_id", ["LCK001", "DET001", "PKL001", "REG004"])
 def test_rule_filtering_runs_each_family_alone(rule_id):
     findings = run(default_root(), rule_ids=[rule_id])
     assert all(f.rule == rule_id for f in findings)
