@@ -53,7 +53,7 @@ TOLERANCE = 0.25
 
 #: Higher-is-better ratio metrics per bench file (dotted JSON paths).
 RATIO_METRICS: dict[str, list[str]] = {
-    "BENCH_tree_kernels.json": ["speedup"],
+    "BENCH_tree_kernels.json": ["speedup", "delta_speedup"],
     "BENCH_frame_ops.json": ["groupby_agg.speedup", "inner_join.speedup"],
     "BENCH_engine.json": ["speedup", "worker_speedup"],
     "BENCH_engine_process.json": ["speedup", "worker_speedup"],
@@ -62,7 +62,7 @@ RATIO_METRICS: dict[str, list[str]] = {
 
 #: Exact-match correctness metrics per bench file (dotted JSON paths).
 EQUALITY_METRICS: dict[str, list[str]] = {
-    "BENCH_tree_kernels.json": ["bitwise_identical"],
+    "BENCH_tree_kernels.json": ["bitwise_identical", "delta_bitwise_identical"],
     "BENCH_engine.json": [
         "bitwise_equal",
         "coalescing.distinct_jobs",

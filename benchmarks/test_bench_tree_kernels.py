@@ -7,6 +7,12 @@ against the flattened-array kernels on the paper's deal-closing dataset, and
 verifies on **every** registry dataset that the kernels return bitwise-
 identical predictions — the speedup may not move a single ulp.
 
+It also gates incremental one-driver re-scoring (``restart=`` on
+``ForestKernel.predict_proba``): on every registry dataset, every driver and
+four row ranges must score bitwise equal to a full pass, and the artifact
+reports the mean full ÷ incremental time over the drivers of an 8k-row
+deal-closing forest.
+
 Timings are written to ``BENCH_tree_kernels.json`` (path overridable via the
 ``BENCH_OUTPUT`` environment variable); the CI ``bench`` job uploads that file
 as a workflow artifact.
@@ -20,6 +26,7 @@ import time
 
 import numpy as np
 
+from repro.core import Perturbation, PerturbationSet, WhatIfSession
 from repro.datasets import get_use_case, list_use_cases
 from repro.ml import RandomForestClassifier, RandomForestRegressor
 
@@ -38,6 +45,17 @@ TIMING_USE_CASE = "deal_closing"
 TIMING_ROWS = 800
 TIMING_TREES = 50
 MIN_SPEEDUP = 5.0
+
+#: Incremental re-scoring is timed on the serving configuration at 8k rows
+#: (the session's default forest: 40 trees, depth 8).
+DELTA_ROWS = 8000
+#: One perturbation per row range: both modes, clipping to zero, amount 0.
+DELTA_PERTURBATIONS = (
+    (25.0, "percentage"),
+    (-100.0, "percentage"),
+    (0.0, "percentage"),
+    (-3.0, "absolute"),
+)
 
 
 def _design_matrix(use_case):
@@ -86,6 +104,69 @@ def test_kernel_predictions_bitwise_equal_on_every_dataset():
             )
 
 
+def _delta_mismatches() -> list[str]:
+    """(dataset, driver, rows) cases where incremental re-scoring of one
+    perturbed driver differs from a full pass; continuous KPIs are split at
+    their median so every dataset gets a forest classifier."""
+    mismatches = []
+    for use_case in list_use_cases():
+        X, y = _design_matrix(use_case)
+        if use_case.kpi_kind != "discrete":
+            y = (y > np.median(y)).astype(float)
+        forest = RandomForestClassifier(n_estimators=20, max_depth=8, random_state=0).fit(X, y)
+        leaves = np.empty((forest.kernel_.n_trees, X.shape[0]), dtype=np.int32)
+        forest.predict_proba(X, leaves_out=leaves)
+        n = X.shape[0]
+        ranges = [(0, n), (0, n // 2), (n // 3, 2 * n // 3 + 1), (n - 1, n)]
+        for feature in range(X.shape[1]):
+            for (start, stop), (amount, mode) in zip(ranges, DELTA_PERTURBATIONS):
+                moved = X[start:stop].copy()
+                moved[:, feature] = Perturbation("driver", amount, mode).apply_to_values(
+                    moved[:, feature]
+                )
+                full = forest.predict_proba(moved)
+                delta = forest.predict_proba(moved, restart=(leaves[:, start:stop], feature))
+                if not np.array_equal(delta, full):
+                    mismatches.append(f"{use_case.key}/{feature}/{start}:{stop}")
+    return mismatches
+
+
+def delta_timings(rounds: int = 5) -> dict:
+    """Full vs incremental scoring per driver of the 8k-row deal session."""
+    session = WhatIfSession.from_use_case(
+        TIMING_USE_CASE, dataset_kwargs={"n_prospects": DELTA_ROWS}, random_state=0
+    )
+    manager = session.model
+    manager.baseline_kpi()
+    kernel = manager.model.kernel_
+    table, depth = kernel.restart_table()
+
+    def best_of(score) -> float:
+        times = []
+        for _ in range(rounds):
+            started = time.perf_counter()
+            score()
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    speedups = []
+    for driver in manager.drivers:
+        perturbation = PerturbationSet.from_mapping({driver: 20.0})
+        full_s = best_of(
+            lambda: manager.predict_rows_matrix(manager.perturbed_matrix(perturbation))
+        )
+        delta_s = best_of(lambda: manager.predict_perturbed_rows(perturbation))
+        speedups.append(full_s / delta_s)
+    return {
+        "delta_rows": DELTA_ROWS,
+        "delta_trees": kernel.n_trees,
+        "delta_speedup": float(np.mean(speedups)),
+        "delta_speedup_per_driver": dict(zip(manager.drivers, map(float, speedups))),
+        "delta_leaf_bytes": int(manager.baseline_leaves().nbytes),
+        "delta_table_bytes": int(table.nbytes + depth.nbytes),
+    }
+
+
 def test_forest_kernel_speedup_and_artifact(benchmark):
     use_case = get_use_case(TIMING_USE_CASE)
     X, y = _design_matrix(use_case)
@@ -119,6 +200,9 @@ def test_forest_kernel_speedup_and_artifact(benchmark):
         "min_speedup_required": MIN_SPEEDUP,
         "bitwise_identical": True,
     }
+    delta_mismatches = _delta_mismatches()
+    record["delta_bitwise_identical"] = not delta_mismatches
+    record.update(delta_timings())
     benchmark.extra_info.update(record)
 
     output_path = os.environ.get("BENCH_OUTPUT", "BENCH_tree_kernels.json")
@@ -137,6 +221,16 @@ def test_forest_kernel_speedup_and_artifact(benchmark):
             {"path": "flattened kernels", "ms": record["kernel_ms"], "speedup": speedup},
         ],
     )
+    print_table(
+        f"incremental one-driver re-scoring, {DELTA_ROWS} rows, full ÷ incremental",
+        [
+            {"driver": driver, "speedup": ratio}
+            for driver, ratio in record["delta_speedup_per_driver"].items()
+        ]
+        + [{"driver": "mean", "speedup": record["delta_speedup"]}],
+    )
+
+    assert not delta_mismatches, f"incremental re-scoring diverges: {delta_mismatches}"
 
     assert speedup >= MIN_SPEEDUP, (
         f"expected >= {MIN_SPEEDUP}x speedup over the recursive path, got "

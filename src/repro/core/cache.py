@@ -8,7 +8,7 @@ reuse layer:
 
 * :func:`frame_fingerprint` hashes a frame's *content* (column names, dtypes,
   and raw values), so two independently loaded copies of the same dataset map
-  to the same cache key;
+  to the same cache key; the digest is computed once per frame object;
 * :func:`model_fingerprint` extends the frame hash with the KPI definition,
   the ordered driver selection, the model parameter overrides, and the random
   seed — exactly the inputs that determine the trained model;
@@ -49,8 +49,11 @@ def frame_fingerprint(frame: DataFrame) -> str:
 
     Two frames with equal content (even when loaded independently) produce the
     same digest; any cell, column name, or dtype change produces a different
-    one.
+    one.  Frames are immutable, so each frame object is hashed once and the
+    digest memoised on it; derived frames are new objects with their own.
     """
+    if frame._digest is not None:
+        return frame._digest
     digest = hashlib.blake2b(digest_size=16)
     digest.update(f"{frame.n_rows}x{frame.n_columns}".encode())
     for name in frame.columns:
@@ -64,7 +67,8 @@ def frame_fingerprint(frame: DataFrame) -> str:
                 digest.update(b"\x1f")
         else:
             digest.update(np.ascontiguousarray(values).tobytes())
-    return digest.hexdigest()
+    frame._digest = digest.hexdigest()
+    return frame._digest
 
 
 def model_fingerprint(

@@ -12,6 +12,11 @@ prediction on every perturbation.  :class:`ModelManager` owns that lifecycle:
   goal-inversion answers;
 * predict the aggregate KPI value for any (possibly perturbed) frame — the
   single number behind each bar in the sensitivity view.
+
+The baseline pass of a forest also keeps the leaf every ``(tree, row)`` lane
+reached (int32, 4 bytes per lane), so a perturbation of one driver re-walks
+only the lanes whose baseline path tests that driver
+(:meth:`ModelManager.predict_perturbed_rows`; see :mod:`repro.ml.kernel`).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from ..ml import (
     cross_val_score,
 )
 from .kpi import KPI
+from .perturbation import PerturbationSet
 
 __all__ = ["ModelManager"]
 
@@ -78,6 +84,7 @@ class ModelManager:
         self._model = None
         self._confidence: float | None = None
         self._baseline_rows: np.ndarray | None = None
+        self._baseline_leaves: np.ndarray | None = None
         self._baseline_kpi: float | None = None
         self._driver_matrix: np.ndarray | None = None
         self._fingerprint: str | None = None
@@ -181,14 +188,46 @@ class ModelManager:
         Discrete KPIs return positive-class probabilities; continuous KPIs
         return predicted values.
         """
-        model = self.model
         if self.kpi.is_discrete:
-            proba = model.predict_proba(X)
-            classes = list(model.classes_)
-            positive = 1.0
-            column = classes.index(positive) if positive in classes else len(classes) - 1
-            return proba[:, column]
-        return model.predict(X)
+            return self._positive_class(self.model.predict_proba(X))
+        return self.model.predict(X)
+
+    def _positive_class(self, proba: np.ndarray) -> np.ndarray:
+        """The positive-class column (label ``1.0``, else the last class)."""
+        classes = list(self.model.classes_)
+        positive = 1.0
+        column = classes.index(positive) if positive in classes else len(classes) - 1
+        return proba[:, column]
+
+    def restart_feature(self, perturbations: PerturbationSet) -> int | None:
+        """Driver column a perturbation set is re-scored incrementally on.
+
+        The incremental path applies to a forest (every discrete KPI trains
+        one) and a set that perturbs exactly one driver; anything else is
+        scored by a full pass and gets ``None``.
+        """
+        if len(perturbations) != 1 or not isinstance(self.model, RandomForestClassifier):
+            return None
+        return self.drivers.index(perturbations.drivers[0])
+
+    def predict_perturbed_rows(
+        self, perturbations: PerturbationSet, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Per-row predictions for rows ``[start, stop)`` of the dataset under
+        ``perturbations`` — the scoring step of every sensitivity analysis.
+
+        When :meth:`restart_feature` names a driver, only the ``(tree, row)``
+        lanes whose baseline path tests it are re-traversed, from the first
+        node that does; the rest keep their baseline leaf.  Predictions are
+        bitwise identical to :meth:`predict_rows_matrix` on the perturbed
+        rows, and the perturbed values pass the same finiteness check.
+        """
+        X = perturbations.apply_to_matrix(self.driver_matrix()[start:stop], self.drivers)
+        feature = self.restart_feature(perturbations)
+        if feature is None:
+            return self.predict_rows_matrix(X)
+        leaves = self.baseline_leaves()[:, start:stop]
+        return self._positive_class(self.model.predict_proba(X, restart=(leaves, feature)))
 
     def predict_rows(self, frame: DataFrame) -> np.ndarray:
         """Per-row predictions for the driver columns of ``frame``."""
@@ -233,8 +272,32 @@ class ModelManager:
         when it does), so predicting it once is enough.
         """
         if self._baseline_rows is None:
-            self._baseline_rows = self.predict_rows_matrix(self.driver_matrix())
+            self._baseline_pass()
         return self._baseline_rows
+
+    def baseline_leaves(self) -> np.ndarray:
+        """Memoised leaf id per ``(tree, row)`` lane of the baseline pass,
+        shape ``(n_trees, n_rows)`` int32 (forest models only)."""
+        if self._baseline_leaves is None:
+            self._baseline_pass()
+        return self._baseline_leaves
+
+    def _baseline_pass(self) -> None:
+        """Predict the unperturbed dataset once, keeping a forest's leaves.
+
+        Concurrent first calls compute identical read-only arrays; the leaves
+        are assigned before the rows, so a manager whose rows are memoised
+        (also one pickled meanwhile) has its leaves too.
+        """
+        X = self.driver_matrix()
+        if not isinstance(self.model, RandomForestClassifier):
+            self._baseline_rows = self.predict_rows_matrix(X)
+            return
+        leaves = np.empty((self.model.kernel_.n_trees, X.shape[0]), dtype=np.int32)
+        rows = self._positive_class(self.model.predict_proba(X, leaves_out=leaves))
+        leaves.setflags(write=False)
+        self._baseline_leaves = leaves
+        self._baseline_rows = rows
 
     def baseline_kpi(self) -> float:
         """KPI predicted on the original, unperturbed dataset (the blue bar)."""

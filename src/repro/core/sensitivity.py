@@ -32,6 +32,15 @@ scores sensitivity and comparison in one single-shot pass.  A call with a
 checkpoint and no executor runs its units on :data:`INLINE`; the checkpoint
 is called with the completed fraction once per unit, which both publishes
 progress and gives cooperative cancellation a place to raise.
+
+Sensitivity scores rows through
+:meth:`~repro.core.model_manager.ModelManager.predict_perturbed_rows` — the
+bare call over every row, each unit over its row range — so every executor
+takes the same path.  When the set perturbs exactly one driver of a forest
+model, that method re-traverses only the ``(tree, row)`` lanes whose
+baseline path tests the driver (see :mod:`repro.ml.kernel`); the results are
+bitwise identical to a full pass.  ``repro_scoring_path_total`` counts the
+path once per :func:`run_sensitivity` call, in the calling process.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import Any
 
 import numpy as np
 
-from ..obs import trace
+from ..obs import metrics, trace
 from .model_manager import ModelManager
 from .perturbation import Perturbation, PerturbationSet
 from .results import ComparisonPoint, ComparisonResult, PerDataResult, SensitivityResult
@@ -57,6 +66,8 @@ __all__ = [
     "sensitivity_rows_unit",
     "perturbation_sets_unit",
 ]
+
+_SCORING_PATHS = metrics.counter("repro_scoring_path_total")
 
 #: Rows per sensitivity work unit.
 SENSITIVITY_CHUNK_ROWS = 2048
@@ -153,10 +164,7 @@ def sensitivity_rows_unit(
     """
     perturbations = PerturbationSet.from_list(payload["perturbations"])
     start, stop = payload["rows"]
-    matrix = perturbations.apply_to_matrix(
-        manager.driver_matrix()[int(start) : int(stop)], manager.drivers
-    )
-    return manager.predict_rows_matrix(matrix)
+    return manager.predict_perturbed_rows(perturbations, int(start), int(stop))
 
 
 def perturbation_sets_unit(
@@ -260,8 +268,10 @@ def run_sensitivity(
             f"available drivers: {manager.drivers}"
         )
     original_kpi = manager.baseline_kpi()
+    path = "full" if manager.restart_feature(perturbations) is None else "incremental"
+    _SCORING_PATHS.labels("sensitivity", path).inc()
     if executor is None and checkpoint is None:  # bare call: one single-shot pass
-        perturbed_kpi = manager.predict_kpi_matrix(manager.perturbed_matrix(perturbations))
+        perturbed_kpi = manager.kpi.aggregate(manager.predict_perturbed_rows(perturbations))
     else:
         perturbed_kpi = _sensitivity_kpi_units(
             manager, perturbations, executor or INLINE, checkpoint, emit or ignore

@@ -48,7 +48,7 @@ class DataFrame:
         arrays, or :class:`Column` instances) or an iterable of ``Column``.
     """
 
-    __slots__ = ("_columns", "_order")
+    __slots__ = ("_columns", "_order", "_digest")
 
     def __init__(
         self,
@@ -56,6 +56,9 @@ class DataFrame:
     ) -> None:
         self._columns: dict[str, Column] = {}
         self._order: list[str] = []
+        # content hash memoised by repro.core.cache.frame_fingerprint; a frame
+        # never changes after __init__ (its column arrays are read-only)
+        self._digest: str | None = None
         if data is None:
             return
         if isinstance(data, Mapping):

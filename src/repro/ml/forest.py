@@ -153,11 +153,15 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
         predictions = self.classes_[np.argmax(votes[seen], axis=1)]
         return float(np.mean(predictions == y[seen]))
 
-    def predict_proba(self, X) -> np.ndarray:
-        """Averaged class probabilities across trees (kernel-batched)."""
+    def predict_proba(self, X, *, restart=None, leaves_out=None) -> np.ndarray:
+        """Averaged class probabilities across trees (kernel-batched).
+
+        ``restart`` and ``leaves_out`` select incremental re-scoring and
+        return the reached leaves; see :meth:`ForestKernel.predict_proba`.
+        """
         check_is_fitted(self, "feature_importances_")
         X = check_array(X, allow_1d=True)
-        return self.kernel_.predict_proba(X)
+        return self.kernel_.predict_proba(X, restart=restart, leaves_out=leaves_out)
 
     def _predict_proba_recursive(self, X: np.ndarray) -> np.ndarray:
         """Pre-kernel prediction path (per-row tree walks); benchmarks only."""

@@ -19,6 +19,20 @@ predictions are bitwise identical to the per-row traversal.
 
 :class:`ForestKernel` stacks per-tree kernel outputs (with the tree-to-forest
 class alignment precomputed once) so forest prediction never loops over rows.
+
+**Incremental re-scoring.**  A matrix that differs from an already scored one
+in a single column need not be walked from the roots again.  Each
+``(tree, row)`` *lane* of the earlier pass ended at a leaf, and that leaf
+fixes the lane's whole root-to-leaf path.  A lane whose path never splits on
+the changed column reaches the same leaf again; every other lane can resume
+at the first node on its path that tests the column, because every decision
+above that node reads unchanged values.  :meth:`ForestKernel.predict_proba`
+takes the earlier leaves and the changed column (``restart=``) and
+re-traverses only those lanes.  A per-forest *restart table*, built once,
+maps every ``(feature, node)`` to the shallowest proper ancestor splitting on
+the feature, so one gather finds every lane's restart node.  The leaf
+payloads are then gathered and summed per tree exactly as in a full pass,
+so the result is bitwise identical to scoring the new matrix from the roots.
 """
 
 from __future__ import annotations
@@ -190,6 +204,8 @@ class ForestKernel:
         self._nav_threshold = np.where(leaf, np.inf, self.threshold)
         self._nav_left = np.where(leaf, node_ids, self.left)
         self._nav_right = np.where(leaf, node_ids, self.right)
+        # (restart table, node depths), built on the first incremental call
+        self._restarts: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_classifier(cls, forest) -> "ForestKernel":
@@ -205,24 +221,108 @@ class ForestKernel:
         """Compile a fitted :class:`RandomForestRegressor`."""
         return cls([tree.kernel_ for tree in forest.estimators_], None, 1)
 
-    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Leaf payloads per (tree, row), shape ``(n_trees, n_rows, n_outputs)``.
+    def restart_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(table, depth)`` for incremental re-scoring, built once.
+
+        ``table[f, node]`` is the shallowest proper ancestor of ``node`` that
+        splits on feature ``f`` (``-1`` when none does), shape
+        ``(n_split_features, n_nodes)`` int32, where ``n_split_features`` is
+        one more than the highest feature any tree splits on.  ``depth`` is
+        every node's depth.  Concurrent first calls build identical read-only
+        arrays and keep whichever is assigned last.
+        """
+        restarts = self._restarts
+        if restarts is None:
+            n_nodes = self.feature.shape[0]
+            n_features = int(self.feature.max()) + 1
+            table = np.full((n_features, n_nodes), -1, dtype=np.int32)
+            depth = np.zeros(n_nodes, dtype=np.min_scalar_type(self.max_depth))
+            # parents precede children within each breadth-first tree, so a
+            # level-by-level sweep inherits a finished parent column each time
+            level = self.roots
+            for below in range(1, self.max_depth + 1):
+                parents = level[self.feature[level] >= 0]
+                level = np.concatenate([self.left[parents], self.right[parents]])
+                parents = np.concatenate([parents, parents])
+                depth[level] = below
+                table[:, level] = table[:, parents]
+                split = self.feature[parents]
+                first = table[split, level] < 0
+                table[split[first], level[first]] = parents[first]
+            table.setflags(write=False)
+            depth.setflags(write=False)
+            restarts = self._restarts = (table, depth)
+        return restarts
+
+    def _step(self, flat: np.ndarray, base: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Advance every lane at node ``index`` (row offset ``base``) one level."""
+        go_left = flat[base + self._nav_feature[index]] <= self._nav_threshold[index]
+        return np.where(go_left, self._nav_left[index], self._nav_right[index])
+
+    def _leaf_ids(self, X: np.ndarray, restart: tuple[np.ndarray, int] | None) -> np.ndarray:
+        """Leaf node id per (tree, row), shape ``(n_trees, n_rows)``.
 
         ``X`` must be finite (guaranteed by ``check_array``): the self-loop
         rewrite relies on ``x <= +inf`` holding for every feature value.
+        With ``restart=(leaves, feature)`` only the lanes whose path through
+        ``leaves`` tests ``feature`` are walked, from their restart nodes.
         """
         n_rows = X.shape[0]
         flat = np.ascontiguousarray(X).ravel()
-        base = np.tile(np.arange(n_rows, dtype=np.intp) * X.shape[1], self.n_trees)
-        index = np.repeat(self.roots, n_rows)
-        for _ in range(self.max_depth):
-            go_left = flat[base + self._nav_feature[index]] <= self._nav_threshold[index]
-            index = np.where(go_left, self._nav_left[index], self._nav_right[index])
-        return self.value[index].reshape(self.n_trees, n_rows, self.n_outputs)
+        if restart is None:
+            base = np.tile(np.arange(n_rows, dtype=np.intp) * X.shape[1], self.n_trees)
+            index = np.repeat(self.roots, n_rows)
+            for _ in range(self.max_depth):
+                index = self._step(flat, base, index)
+            return index.reshape(self.n_trees, n_rows)
+        leaves, feature = restart
+        if leaves.shape != (self.n_trees, n_rows):
+            raise ValueError(
+                f"restart leaves have shape {leaves.shape}, expected {(self.n_trees, n_rows)}"
+            )
+        table, depth = self.restart_table()
+        if not 0 <= feature < table.shape[0]:  # no tree splits on the feature
+            return np.array(leaves, dtype=np.int32)
+        start = table[feature][leaves].ravel()
+        lanes = np.flatnonzero(start >= 0)
+        start = start[lanes]
+        # lanes sorted by restart depth: level L advances the prefix of lanes
+        # that restart at depth <= L (a radix sort for uint8 depths)
+        start_depth = depth[start]
+        active = np.cumsum(np.bincount(start_depth, minlength=self.max_depth))
+        order = np.argsort(start_depth, kind="stable")
+        lanes = lanes[order]
+        index = start[order].astype(np.intp)
+        del start, order  # keeps the transient peak near a full pass's
+        base = lanes % n_rows
+        base *= X.shape[1]
+        for level in range(self.max_depth):
+            live = active[level]
+            index[:live] = self._step(flat, base[:live], index[:live])
+        del base
+        out = np.array(leaves, dtype=np.int32)
+        out.ravel()[lanes] = index
+        return out
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Tree-averaged class probabilities, shape ``(n_rows, n_classes)``."""
-        values = self._leaf_values(X)
+    def predict_proba(
+        self,
+        X: np.ndarray,
+        *,
+        restart: tuple[np.ndarray, int] | None = None,
+        leaves_out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Tree-averaged class probabilities, shape ``(n_rows, n_classes)``.
+
+        ``restart=(leaves, feature)`` scores ``X`` incrementally: ``leaves``
+        holds the leaf ids, shape ``(n_trees, n_rows)``, that a full pass
+        reached on a matrix equal to ``X`` except in column ``feature``.
+        ``leaves_out``, an int32 array of that shape, receives the leaf ids
+        this call reaches.  The result is bitwise identical either way.
+        """
+        leaves = self._leaf_ids(X, restart)
+        if leaves_out is not None:
+            leaves_out[...] = leaves
+        values = self.value[leaves]
         # accumulate per tree in ensemble order so rounding matches the
         # historical sequential aggregation bit for bit
         aggregate = np.zeros((X.shape[0], self.n_outputs))
@@ -232,7 +332,7 @@ class ForestKernel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Tree-averaged regression prediction, shape ``(n_rows,)``."""
-        values = self._leaf_values(X)
+        values = self.value[self._leaf_ids(X, None)]
         predictions = np.zeros(X.shape[0])
         for tree_index in range(self.n_trees):
             predictions += values[tree_index, :, 0]

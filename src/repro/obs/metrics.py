@@ -144,6 +144,12 @@ METRICS = {
         "outcome (done/error/cancelled).",
         labels=("worker", "outcome"),
     ),
+    "repro_scoring_path_total": MetricSpec(
+        "counter",
+        "Analyses scored, by action and the kernel path chosen "
+        "(sensitivity: incremental/full; run_sweep: grid/batch).",
+        labels=("action", "path"),
+    ),
     "repro_persist_writes_total": MetricSpec(
         "counter",
         "Durable-state backend writes, by record kind "

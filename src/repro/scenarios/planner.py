@@ -41,6 +41,7 @@ import numpy as np
 from ..core.model_manager import ModelManager
 from ..core.sensitivity import INLINE, ignore, perturbation_sets_unit, split_ranges, unit_ranges
 from ..frame.kernels import group_index
+from ..obs import metrics
 from .kernel import grid_kernel_applies, grid_sweep_kpis
 from .space import Axis, ScenarioSpace, SweepScenario
 
@@ -52,6 +53,8 @@ __all__ = [
     "grid_block_unit",
     "SWEEP_GOALS",
 ]
+
+_SCORING_PATHS = metrics.counter("repro_scoring_path_total")
 
 #: Goals a sweep can rank by.
 SWEEP_GOALS = ("maximize", "minimize")
@@ -340,7 +343,9 @@ class SweepPlanner:
                 ),
             )
 
-        if not grid_kernel_applies(self.manager, self.space):
+        grid = grid_kernel_applies(self.manager, self.space)
+        _SCORING_PATHS.labels("run_sweep", "grid" if grid else "batch").inc()
+        if not grid:
             return self._score_sets(
                 scenarios, (0, len(scenarios)), executor, checkpoint, (0.0, share), publish
             )

@@ -20,7 +20,12 @@ def make_dirs(tmp_path: Path) -> tuple[Path, Path]:
     return baseline_dir, current_dir
 
 
-TREE_BASE = {"speedup": 10.0, "bitwise_identical": True}
+TREE_BASE = {
+    "speedup": 10.0,
+    "bitwise_identical": True,
+    "delta_speedup": 2.0,
+    "delta_bitwise_identical": True,
+}
 
 
 class TestCompareFile:
@@ -28,28 +33,28 @@ class TestCompareFile:
         assert compare_file("BENCH_tree_kernels.json", TREE_BASE, dict(TREE_BASE)) == []
 
     def test_slowdown_within_tolerance_passes(self):
-        current = {"speedup": 10.0 * (1.0 - TOLERANCE) + 0.01, "bitwise_identical": True}
+        current = {**TREE_BASE, "speedup": 10.0 * (1.0 - TOLERANCE) + 0.01}
         assert compare_file("BENCH_tree_kernels.json", TREE_BASE, current) == []
 
     def test_slowdown_beyond_tolerance_fails(self):
-        current = {"speedup": 10.0 * (1.0 - TOLERANCE) - 0.1, "bitwise_identical": True}
+        current = {**TREE_BASE, "speedup": 10.0 * (1.0 - TOLERANCE) - 0.1}
         failures = compare_file("BENCH_tree_kernels.json", TREE_BASE, current)
         assert len(failures) == 1
         assert "below the baseline" in failures[0]
 
     def test_speedup_improvement_passes(self):
-        current = {"speedup": 99.0, "bitwise_identical": True}
+        current = {**TREE_BASE, "speedup": 99.0}
         assert compare_file("BENCH_tree_kernels.json", TREE_BASE, current) == []
 
     def test_equality_flip_fails_regardless_of_speed(self):
-        current = {"speedup": 99.0, "bitwise_identical": False}
+        current = {**TREE_BASE, "speedup": 99.0, "bitwise_identical": False}
         failures = compare_file("BENCH_tree_kernels.json", TREE_BASE, current)
         assert len(failures) == 1
         assert "equality check changed" in failures[0]
 
     def test_missing_metric_fails(self):
         failures = compare_file("BENCH_tree_kernels.json", TREE_BASE, {})
-        assert len(failures) == 2  # one per configured metric
+        assert len(failures) == 4  # one per configured metric
 
     def test_nested_paths(self):
         baseline = {
@@ -162,7 +167,7 @@ class TestRun:
         write(baseline_dir / "BENCH_tree_kernels.json", TREE_BASE)
         write(
             current_dir / "BENCH_tree_kernels.json",
-            {"speedup": 1.0, "bitwise_identical": True},
+            {**TREE_BASE, "speedup": 1.0},
         )
         assert run(baseline_dir, current_dir) == 1
 
