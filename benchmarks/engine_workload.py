@@ -1,4 +1,4 @@
-"""Reusable engine benchmark workload (CLI ``bench-engine`` + pytest bench).
+"""The engine benchmark workload behind ``test_bench_engine.py``.
 
 The workload mirrors the paper's heavy interactive moment — several users
 firing whole-dataset comparison sweeps at once — and answers three questions:
@@ -86,8 +86,8 @@ def run_engine_benchmark(
     startup and the one-time model shipping don't pollute the measured
     ratios — the steady state is what users of a long-lived backend see.
     """
-    from ..datasets import get_use_case
-    from ..server import SessionRegistry, SystemDServer
+    from repro.datasets import get_use_case
+    from repro.server import SessionRegistry, SystemDServer
 
     server = SystemDServer(
         registry=SessionRegistry(capacity=max(64, n_jobs)),

@@ -1,4 +1,4 @@
-"""Reusable sweep benchmark workload (CLI ``sweep --bench`` + pytest bench).
+"""The sweep benchmark workload behind ``test_bench_scenario_sweep.py``.
 
 The workload answers the question the sweep planner exists for: how much
 faster is scoring a whole scenario space in batched matrix form than the
@@ -26,12 +26,12 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from ..core.sensitivity import run_sensitivity
-from ..core.session import WhatIfSession
-from ..datasets import get_use_case
-from .kernel import grid_kernel_applies
-from .planner import run_sweep
-from .space import Axis, ScenarioSpace
+from repro.core.sensitivity import run_sensitivity
+from repro.core.session import WhatIfSession
+from repro.datasets import get_use_case
+from repro.scenarios.kernel import grid_kernel_applies
+from repro.scenarios.planner import run_sweep
+from repro.scenarios.space import Axis, ScenarioSpace
 
 __all__ = ["run_sweep_benchmark", "build_benchmark_space"]
 

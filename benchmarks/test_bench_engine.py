@@ -2,7 +2,7 @@
 
 The ROADMAP's north star — heavy concurrent traffic — needs the backend to
 keep answering while long sweeps run.  This benchmark drives the workload of
-:func:`repro.engine.bench.run_engine_benchmark`: four distinct comparison
+:func:`benchmarks.engine_workload.run_engine_benchmark`: four distinct comparison
 sweeps on four sessions, submitted to a 4-worker pool, against two serialized
 baselines (sequential synchronous requests, i.e. the seed's blocking
 behaviour, and the same jobs on a 1-worker pool).  It also verifies the two
@@ -38,9 +38,8 @@ import os
 import pytest
 
 from repro.engine import ProcessExecutor
-from repro.engine.bench import available_cpus, run_engine_benchmark
-
 from .conftest import print_table
+from .engine_workload import available_cpus, run_engine_benchmark
 
 USE_CASE = "deal_closing"
 ROWS = 1000

@@ -2,7 +2,7 @@
 
 The sweep planner's claim is that discovering options over a whole scenario
 grid should not cost one sensitivity analysis per scenario.  This benchmark
-drives :func:`repro.scenarios.bench.run_sweep_benchmark`: a three-axis
+drives :func:`benchmarks.sweep_workload.run_sweep_benchmark`: a three-axis
 percentage grid (12×11×10 = 1 320 scenarios) over the deal-closing drivers,
 scored once through the box-propagating grid kernel
 (:mod:`repro.scenarios.kernel`) and once as the seed-style Python loop of
@@ -29,9 +29,8 @@ from __future__ import annotations
 import json
 import os
 
-from repro.scenarios.bench import run_sweep_benchmark
-
 from .conftest import print_table
+from .sweep_workload import run_sweep_benchmark
 
 USE_CASE = "deal_closing"
 ROWS = 400

@@ -65,21 +65,32 @@ STREAM_SPACE = {
 }
 
 
-def post(httpd, payload: dict, timeout: float = 180.0) -> dict:
+#: The default session's routes.
+SESSION = f"/api/v1/sessions/{DEFAULT_SESSION_ID}"
+
+
+def call(httpd, method: str, path: str, body: dict | None = None, timeout=180.0) -> dict:
+    """One ``/api/v1`` round trip; returns the decoded envelope (2xx only)."""
     host, port = httpd.server_address[:2]
     request = urllib.request.Request(
-        f"http://{host}:{port}/",
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
+        f"http://{host}:{port}{path}",
+        data=None if body is None else json.dumps(body).encode("utf-8"),
+        method=method,
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return json.loads(response.read())
 
 
 def submit_sweep(httpd, space) -> tuple[str, int]:
-    envelope = post(httpd, {"action": "sweep", "params": {"space": space}})
+    envelope = call(httpd, "POST", f"{SESSION}/sweeps", {"space": space})
     assert envelope["ok"], envelope["error"]
     return envelope["data"]["job"]["job_id"], envelope["data"]["space_size"]
+
+
+def fetch_result(httpd, job_id: str) -> dict:
+    envelope = call(httpd, "GET", f"{SESSION}/jobs/{job_id}?result=1&timeout_s=60")
+    assert envelope["ok"], envelope["error"]
+    return envelope["data"]["result"]
 
 
 def poll_until_done(httpd, job_id: str) -> dict:
@@ -87,19 +98,15 @@ def poll_until_done(httpd, job_id: str) -> dict:
     timings: dict = {"polls": 0}
     start = time.perf_counter()
     while True:
-        envelope = post(httpd, {"action": "job_status", "params": {"job_id": job_id}})
+        envelope = call(httpd, "GET", f"{SESSION}/jobs/{job_id}")
         timings["polls"] += 1
         state = envelope["data"]["job"]["state"]
         if state in ("done", "failed", "cancelled"):
             break
         time.sleep(POLL_INTERVAL_S)
     assert state == "done", envelope
-    fetched = post(
-        httpd, {"action": "job_result", "params": {"job_id": job_id, "timeout_s": 60}}
-    )
-    assert fetched["ok"], fetched["error"]
+    timings["result"] = fetch_result(httpd, job_id)
     timings["result_ms"] = (time.perf_counter() - start) * 1000.0
-    timings["result"] = fetched["data"]["result"]
     return timings
 
 
@@ -151,13 +158,8 @@ def test_streaming_beats_polling_to_first_results(chunked_sweeps):
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     try:
-        loaded = post(
-            httpd,
-            {
-                "action": "load_use_case",
-                "params": {"use_case": USE_CASE, "dataset_kwargs": {"n_prospects": ROWS}},
-            },
-        )
+        body = {"use_case": USE_CASE, "dataset_kwargs": {"n_prospects": ROWS}}
+        loaded = call(httpd, "PUT", f"{SESSION}/dataset", body)
         assert loaded["ok"], loaded["error"]
 
         poll_job_id, space_size = submit_sweep(httpd, POLL_SPACE)
@@ -165,10 +167,7 @@ def test_streaming_beats_polling_to_first_results(chunked_sweeps):
 
         stream_job_id, _ = submit_sweep(httpd, STREAM_SPACE)
         streamed = stream_until_done(httpd, stream_job_id)
-        polled_stream_job = post(
-            httpd,
-            {"action": "job_result", "params": {"job_id": stream_job_id, "timeout_s": 60}},
-        )["data"]["result"]
+        polled_stream_job = fetch_result(httpd, stream_job_id)
 
         streamed_equals_polled = json.dumps(streamed["result"], sort_keys=True) == (
             json.dumps(polled_stream_job, sort_keys=True)

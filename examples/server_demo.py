@@ -3,7 +3,8 @@
 SystemD's client and backend talk JSON; this script plays the client role
 against the in-process :class:`~repro.server.SystemDServer`, issuing the same
 sequence of requests a browser session would generate while the sales manager
-walks through the deal-closing use case.
+walks through the deal-closing use case.  Over HTTP the same actions are
+reached through the ``/api/v1`` routes (see the README's route table).
 
 Run with::
 
@@ -12,7 +13,7 @@ Run with::
 
 import json
 
-from repro.server import Request, SystemDServer
+from repro.server import SystemDServer
 
 
 def show(title: str, response) -> None:
@@ -63,27 +64,22 @@ def main() -> None:
         server.request("per_data", row_index=7, perturbations={"Call": 50.0}),
     )
 
-    # (I) constrained analysis via raw JSON, exactly as it would arrive on the wire
-    raw_request = json.dumps(
-        {
-            "action": "constrained",
-            "request_id": "req-42",
-            "params": {
-                "bounds": {"Open Marketing Email": [40.0, 80.0]},
-                "n_calls": 15,
-                "track_as": "constrained max",
-            },
-        }
+    # (I) constrained analysis: the best +40..80% change in marketing emails
+    show(
+        "constrained",
+        server.request(
+            "constrained",
+            bounds={"Open Marketing Email": [40.0, 80.0]},
+            n_calls=15,
+            track_as="constrained max",
+        ),
     )
-    raw_response = server.handle_json(raw_request)
-    print("\n== constrained (raw JSON round trip) ==")
-    print(raw_response[:600])
 
     # scenario ledger accumulated across the requests above
     show("list_scenarios", server.request("list_scenarios"))
 
     # error handling: malformed requests get structured errors, not crashes
-    show("error handling", server.handle(Request(action="sensitivity", params={})))
+    show("error handling", server.request("sensitivity"))
 
     # ---------------------------------------------------------------- #
     # multi-session serving: two analysts, one server, one model cache

@@ -18,14 +18,10 @@ The CLI covers the non-interactive entry points:
     Execute a declarative experiment specification and print its results.
 ``python -m repro serve --port 8765``
     Start the JSON HTTP backend.
-``python -m repro bench-sessions --sessions 4 --requests 16``
-    Throughput check: concurrent sessions sharing one model cache.
 ``python -m repro jobs --port 8765``
-    Inspect (or cancel) async analysis jobs on a running HTTP backend.
-``python -m repro trace JOB_ID --port 8765``
-    Render one job's span timeline (request → job → worker units → reduce).
-``python -m repro bench-engine --jobs 4 --workers 4``
-    Async engine check: concurrent sweeps vs serialized execution.
+    Inspect (or cancel) one session's async analysis jobs on a running HTTP
+    backend; ``--status JOB_ID`` also renders the job's span timeline
+    (request → job → worker units → reduce).
 
 Every command accepts ``--json`` to emit machine-readable output instead of
 tables, so the CLI composes with other tooling the way the paper envisions.
@@ -38,10 +34,11 @@ import json
 import sys
 from collections.abc import Sequence
 from typing import Any
+from urllib.parse import urlencode
 
 from .core import WhatIfSession
 from .datasets import get_use_case, list_use_cases
-from .server import to_json_safe
+from .server import DEFAULT_SESSION_ID, to_json_safe
 from .spec import SpecError, execute_spec, load_spec, spec_to_sql
 
 __all__ = ["main", "build_parser"]
@@ -165,24 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
         "startup (sessions otherwise recover lazily on first touch)",
     )
 
-    bench = subparsers.add_parser(
-        "bench-sessions",
-        help="drive concurrent sessions through one in-process server",
-    )
-    bench.add_argument("--use-case", default="deal_closing", help="use case key")
-    bench.add_argument("--rows", type=int, default=400, help="synthetic dataset size")
-    bench.add_argument("--sessions", type=int, default=4, help="number of concurrent sessions")
-    bench.add_argument("--requests", type=int, default=16, help="sensitivity requests per session")
-    bench.add_argument("--seed", type=int, default=0, help="random seed")
-    bench.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-
     jobs = subparsers.add_parser(
         "jobs", help="inspect async analysis jobs on a running HTTP backend"
     )
     jobs.add_argument("--host", default="127.0.0.1")
     jobs.add_argument("--port", type=int, default=8765)
-    jobs.add_argument("--session", default=None, help="only jobs of this session id")
-    jobs.add_argument("--status", metavar="JOB_ID", default=None, help="show one job")
+    jobs.add_argument(
+        "--session", default=None, help="the jobs' session id (default: the default session)"
+    )
+    jobs.add_argument(
+        "--status", metavar="JOB_ID", default=None, help="show one job and its span timeline"
+    )
     jobs.add_argument("--cancel", metavar="JOB_ID", default=None, help="cancel one job")
     jobs.add_argument(
         "--follow",
@@ -203,14 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--offset", type=int, default=0, help="page offset for the job listing"
     )
     jobs.add_argument("--json", action="store_true", help="emit JSON instead of a table")
-
-    trace = subparsers.add_parser(
-        "trace", help="render one job's span timeline from a running HTTP backend"
-    )
-    trace.add_argument("job_id", help="job id whose trace to render")
-    trace.add_argument("--host", default="127.0.0.1")
-    trace.add_argument("--port", type=int, default=8765)
-    trace.add_argument("--json", action="store_true", help="emit the raw span records")
 
     sweep = subparsers.add_parser(
         "sweep", help="scenario-space sweep: enumerate and rank whole option spaces"
@@ -254,26 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--cohort", default=None, help="break the frontier down by this column"
     )
-
-    bench_engine = subparsers.add_parser(
-        "bench-engine",
-        help="async engine benchmark: concurrent sweeps vs serialized execution",
-    )
-    bench_engine.add_argument("--use-case", default="deal_closing", help="use case key")
-    bench_engine.add_argument("--rows", type=int, default=1000, help="synthetic dataset size")
-    bench_engine.add_argument("--jobs", type=int, default=4, help="concurrent sweep jobs")
-    bench_engine.add_argument("--workers", type=int, default=4, help="engine worker threads")
-    bench_engine.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="async-engine executor to benchmark",
-    )
-    bench_engine.add_argument(
-        "--amounts", type=int, default=10, help="perturbation amounts per sweep"
-    )
-    bench_engine.add_argument("--seed", type=int, default=0, help="random seed")
-    bench_engine.add_argument("--json", action="store_true", help="emit JSON instead of a table")
 
     check = subparsers.add_parser(
         "check",
@@ -530,87 +492,13 @@ def _command_serve(args: argparse.Namespace) -> int:  # pragma: no cover - block
     return 0
 
 
-def _command_bench_sessions(args: argparse.Namespace) -> int:
-    import threading
-    import time
-
-    from .server import SessionRegistry, SystemDServer
-
-    n_sessions = max(1, args.sessions)
-    # size the registry to the fleet so no session is LRU-evicted mid-run
-    server = SystemDServer(registry=SessionRegistry(capacity=max(64, n_sessions)))
-    try:
-        dataset_kwargs = get_use_case(args.use_case).size_kwargs(args.rows)
-    except KeyError as error:
-        print(f"error: {error.args[0]}", file=sys.stderr)
-        return 2
-
-    session_ids: list[str] = []
-    for _ in range(n_sessions):
-        response = server.request(
-            "create_session",
-            use_case=args.use_case,
-            dataset_kwargs=dataset_kwargs,
-            random_state=args.seed,
-        )
-        if not response.ok:
-            print(f"error: {response.error}", file=sys.stderr)
-            return 2
-        session_ids.append(response.data["session_id"])
-
-    drivers = server.request("describe_dataset", session_id=session_ids[0]).data["drivers"]
-    driver = drivers[0]
-    failures: list[str] = []
-
-    def worker(session_id: str) -> None:
-        for i in range(max(1, args.requests)):
-            response = server.request(
-                "sensitivity",
-                session_id=session_id,
-                perturbations={driver: 10.0 + i},
-            )
-            if not response.ok:
-                failures.append(response.error)
-
-    started = time.perf_counter()
-    threads = [threading.Thread(target=worker, args=(sid,)) for sid in session_ids]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    elapsed = time.perf_counter() - started
-
-    total_requests = len(session_ids) * max(1, args.requests)
-    stats = server.stats()
-    summary = {
-        "use_case": args.use_case,
-        "sessions": len(session_ids),
-        "requests": total_requests,
-        "failures": len(failures),
-        "elapsed_s": elapsed,
-        "throughput_rps": total_requests / elapsed if elapsed else float("inf"),
-        "models_trained": stats["model_cache"]["misses"],
-        "cache_hits": stats["model_cache"]["hits"],
-    }
-    _emit(summary, args.json, lambda s: _print_table([s]))
-    if failures:
-        print(f"error: {failures[0]}", file=sys.stderr)
-        return 2
-    return 0
-
-
-def _post_backend(host: str, port: int, payload: dict[str, Any]) -> dict[str, Any]:
-    """POST one request envelope to a running HTTP backend, return the
+def _call_backend(host: str, port: int, method: str, path: str) -> dict[str, Any]:
+    """One ``/api/v1`` request to a running HTTP backend; returns the
     response envelope (4xx bodies are structured JSON too)."""
     import urllib.error
     import urllib.request
 
-    data = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        f"http://{host}:{port}/",
-        data=data,
-        headers={"Content-Type": "application/json"},
-    )
+    request = urllib.request.Request(f"http://{host}:{port}{path}", method=method)
     try:
         with urllib.request.urlopen(request, timeout=60) as response:
             return json.loads(response.read().decode("utf-8"))
@@ -664,23 +552,15 @@ def _command_jobs(args: argparse.Namespace) -> int:
         return 2
     if args.follow:
         return _follow_job(args)
+    path = f"/api/v1/sessions/{args.session or DEFAULT_SESSION_ID}/jobs"
     if args.status:
-        envelope = _post_backend(
-            args.host, args.port, {"action": "job_status", "params": {"job_id": args.status}}
-        )
+        envelope = _call_backend(args.host, args.port, "GET", f"{path}/{args.status}")
     elif args.cancel:
-        envelope = _post_backend(
-            args.host, args.port, {"action": "cancel_job", "params": {"job_id": args.cancel}}
-        )
+        envelope = _call_backend(args.host, args.port, "DELETE", f"{path}/{args.cancel}")
     else:
-        params: dict[str, Any] = {}
-        if args.session:
-            params["session_id"] = args.session
-        if args.limit is not None:
-            params["limit"] = args.limit
-        if args.offset:
-            params["offset"] = args.offset
-        envelope = _post_backend(args.host, args.port, {"action": "list_jobs", "params": params})
+        page = {"limit": args.limit, "offset": args.offset or None}
+        query = urlencode({name: value for name, value in page.items() if value is not None})
+        envelope = _call_backend(args.host, args.port, "GET", f"{path}?{query}")
     if not envelope.get("ok"):
         print(f"error: {envelope.get('error', 'request failed')}", file=sys.stderr)
         return 2
@@ -710,6 +590,8 @@ def _command_jobs(args: argparse.Namespace) -> int:
             f"{engine['executed_total']} executed, "
             f"queue depth {engine['pool']['queue_depth']}"
         )
+    if args.status:
+        _render_trace(data.get("trace") or [])
     return 0
 
 
@@ -754,66 +636,6 @@ def _render_trace(spans: list[dict[str, Any]]) -> None:
         emit(root, 0)
 
 
-def _command_trace(args: argparse.Namespace) -> int:
-    """Fetch and render one job's span timeline from a running backend."""
-    envelope = _post_backend(
-        args.host, args.port, {"action": "job_status", "params": {"job_id": args.job_id}}
-    )
-    if not envelope.get("ok"):
-        print(f"error: {envelope.get('error', 'request failed')}", file=sys.stderr)
-        return 2
-    data = envelope["data"]
-    spans = data.get("trace") or []
-    if args.json:
-        print(json.dumps(spans, indent=2))
-        return 0
-    job = data.get("job", {})
-    print(
-        f"job {job.get('job_id', args.job_id)} "
-        f"({job.get('action', '?')}, {job.get('state', '?')})"
-    )
-    _render_trace(spans)
-    return 0
-
-
-def _command_bench_engine(args: argparse.Namespace) -> int:
-    from .engine.bench import run_engine_benchmark
-
-    try:
-        summary = run_engine_benchmark(
-            use_case=args.use_case,
-            rows=args.rows,
-            n_jobs=max(1, args.jobs),
-            workers=max(1, args.workers),
-            amounts_per_job=max(2, args.amounts),
-            seed=args.seed,
-            executor=args.executor,
-        )
-    except RuntimeError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    _emit(
-        summary,
-        args.json,
-        lambda s: _print_table(
-            [
-                {
-                    "jobs": s["n_jobs"],
-                    "executor": s["executor"],
-                    "workers": s["workers"],
-                    "cpus": s["cpu_count"],
-                    "serial_s": s["serial_s"],
-                    "parallel_s": s["parallel_s"],
-                    "speedup": s["speedup"],
-                    "coalesced": s["coalescing"]["attached"],
-                    "bitwise_equal": s["bitwise_equal"],
-                }
-            ]
-        ),
-    )
-    return 0
-
-
 def _command_check(args: argparse.Namespace) -> int:
     """Run the static analyzer; exit 1 on any unsuppressed finding."""
     from pathlib import Path
@@ -840,10 +662,7 @@ _COMMANDS = {
     "sweep": _command_sweep,
     "run-spec": _command_run_spec,
     "serve": _command_serve,
-    "bench-sessions": _command_bench_sessions,
     "jobs": _command_jobs,
-    "trace": _command_trace,
-    "bench-engine": _command_bench_engine,
     "check": _command_check,
 }
 

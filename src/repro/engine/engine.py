@@ -44,7 +44,7 @@ from ..server.handlers import JOB_HANDLERS, PROCESS_ACTIONS
 from ..server.protocol import ProtocolError
 from ..server.registry import DEFAULT_SESSION_ID
 from ..server.serialization import to_json_safe
-from .events import JobEventBus
+from .events import JobEventBus, Subscription
 from .job import CANCELLED, DONE, FAILED, Job, JobCancelled, JobContext
 from .pool import WorkerPool
 from .process import ProcessExecutor
@@ -286,21 +286,30 @@ class AnalysisEngine:
             )
         # exactly one terminal event per job: _finalize runs once, from the
         # worker (_run) or from a pending-job cancel; the bus additionally
-        # drops any publish after a terminal event as a backstop.  ``done``
-        # embeds the full result payload so a streaming client's final event
-        # is byte-identical to the polled ``job_result`` blob (the span
-        # timeline rides alongside, never inside, the result).
+        # drops any publish after a terminal event as a backstop
+        kind, data = self._terminal_event(job)
+        self.events.publish(job.job_id, kind, data)
+
+    def _terminal_event(self, job: Job) -> tuple[str, dict[str, Any]]:
+        """A finished job's terminal event.  ``done`` embeds the full result
+        payload, so a streaming client's final event is byte-identical to
+        the polled ``job_result`` blob (the span timeline rides alongside,
+        never inside, the result)."""
         timeline = self.trace_timeline(job.job_id)
         if job.state == DONE:
-            self.events.publish(
-                job.job_id,
-                "done",
-                {"progress": 1.0, "result": job.result, "trace": timeline},
-            )
-        else:
-            self.events.publish(
-                job.job_id, job.state, {"error": job.error, "trace": timeline}
-            )
+            return "done", {"progress": 1.0, "result": job.result, "trace": timeline}
+        return job.state, {"error": job.error, "trace": timeline}
+
+    def subscribe(self, job_id: str, *, after_seq: int = 0) -> Subscription:
+        """Subscribe to ``job_id``'s event stream (raises :class:`UnknownJobError`).
+
+        A finished job whose bus channel is gone — evicted LRU while the
+        store kept the job, or restored from durable state — replays its
+        terminal event alone, so its stream ends like any finished job's.
+        """
+        job = self.store.get(job_id)
+        ended = self._terminal_event(job) if job.is_terminal else None
+        return self.events.subscribe(job_id, after_seq=after_seq, ended=ended)
 
     # ------------------------------------------------------------------ #
     # executor routing

@@ -278,7 +278,13 @@ class JobEventBus:
     # ------------------------------------------------------------------ #
     # subscribing and replay
     # ------------------------------------------------------------------ #
-    def subscribe(self, job_id: str, *, after_seq: int = 0) -> Subscription:
+    def subscribe(
+        self,
+        job_id: str,
+        *,
+        after_seq: int = 0,
+        ended: tuple[str, dict[str, Any]] | None = None,
+    ) -> Subscription:
         """Subscribe to ``job_id``'s stream, replaying retained events first.
 
         Atomically queues every retained event with ``seq > after_seq`` onto
@@ -288,11 +294,21 @@ class JobEventBus:
         synthetic ``gap`` event (``seq=0``) reporting the missed count is
         queued first.  Subscribing to a job that has not published yet (or at
         all) is allowed: the channel materialises empty and goes live.
+
+        ``ended`` is the terminal ``(type, data)`` of a job known to be
+        finished.  When the bus holds no channel for it (evicted, or never
+        published in this process), no channel is created: the subscription
+        gets that one event (``seq=0``) and is not live.
         """
         after_seq = max(0, int(after_seq))
         subscription = Subscription(job_id=job_id, _bus=self)
         with self._lock:
             channel = self._channels.get(job_id)
+            if channel is None and ended is not None:
+                kind, data = ended
+                subscription._deliver(JobEvent(0, job_id, kind, dict(data), float(self._clock())))
+                subscription.live = False
+                return subscription
             if channel is None:
                 channel = _Channel(self.buffer_size)
                 self._channels[job_id] = channel

@@ -300,7 +300,9 @@ class ForestKernel:
             live = active[level]
             index[:live] = self._step(flat, base[:live], index[:live])
         del base
-        out = np.array(leaves, dtype=np.int32)
+        # C order: ``lanes`` index the row-major flattening, and ravel() of
+        # an F-ordered copy (a fancy-indexed restart) would scatter into a copy
+        out = np.array(leaves, dtype=np.int32, order="C")
         out.ravel()[lanes] = index
         return out
 

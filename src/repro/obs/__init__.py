@@ -5,7 +5,7 @@ doing: :mod:`repro.obs.metrics` holds the declarative ``METRICS`` table and
 the registry of counters / gauges / histograms behind ``server_stats`` and
 ``GET /api/v1/metrics``; :mod:`repro.obs.trace` provides trace/span ids and
 the context-manager ``span()`` API whose records cross the process boundary
-with work units and come back as per-job timelines (``repro trace JOB_ID``).
+with work units and come back as per-job timelines (``repro jobs --status JOB_ID``).
 
 ``set_enabled(False)`` turns the whole layer into no-ops — the overhead
 benchmark (``benchmarks/test_bench_obs_overhead.py``) holds the instrumented

@@ -21,7 +21,7 @@ unit, the worker re-roots its spans on it under :func:`activate`, collects
 them with :func:`capture`, and ships the finished records back over the
 result queue.  The parent feeds them into the process-global
 :class:`TraceStore`, so one connected timeline covers request → job →
-per-worker ship/score → reduce. ``repro trace JOB_ID`` renders it.
+per-worker ship/score → reduce. ``repro jobs --status JOB_ID`` renders it.
 
 Timestamps: ``start_ts`` is wall-clock (comparable across processes on one
 host), ``duration_ms`` comes from ``perf_counter``.  The wall-clock reads

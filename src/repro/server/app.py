@@ -1,11 +1,11 @@
 """The SystemD backend server.
 
 :class:`SystemDServer` is the in-process dispatcher: it accepts
-:class:`~repro.server.protocol.Request` objects (or raw dicts / JSON strings),
-routes them to the handler for their action, times the call, and wraps the
-payload in a :class:`~repro.server.protocol.Response`.  Tests, benchmarks, and
-the examples drive this object directly — it exercises exactly the code path a
-browser client would, minus the socket.
+:class:`~repro.server.protocol.Request` objects, routes them to the handler
+for their action, times the call, and wraps the payload in a
+:class:`~repro.server.protocol.Response`.  Tests, benchmarks, and the
+examples drive this object directly through :meth:`SystemDServer.request` —
+it exercises exactly the code path an HTTP client does, minus the socket.
 
 One server hosts many concurrent analyses: requests are routed by
 ``session_id`` through a :class:`~repro.server.registry.SessionRegistry`
@@ -19,28 +19,21 @@ Long-running analyses need not block their caller at all: every server owns
 an :class:`~repro.engine.AnalysisEngine` whose ``submit`` / ``job_status`` /
 ``job_result`` / ``cancel_job`` / ``list_jobs`` actions run the same analysis
 handlers on a worker pool, with progress reporting and cooperative
-cancellation.  Synchronous handling of the pre-existing actions is untouched.
+cancellation.
 
 :func:`serve_http` wraps the same dispatcher in a stdlib
-:class:`http.server.ThreadingHTTPServer` for anyone who wants to poke the
-backend with ``curl``; it is optional and nothing else in the package depends
-on it.  Malformed envelopes (invalid JSON, non-object bodies, unknown
-actions) come back as structured JSON error bodies with 4xx status codes.
-
-The HTTP wrapper serves two surfaces (see :mod:`repro.server.protocol` for
-the deprecation path): the original bare-POST protocol (POST an envelope to
-any non-API path, always 200 with errors inside the envelope), and the
-resource-routed API under ``/api/v1``, whose routes are declared in the
-operation table (:data:`repro.server.handlers.OPERATIONS`): HTTP verbs map
-to actions, failures carry real status codes (400 bad request, 404 unknown
-resource, 409 duplicate, 413 over a size cap), and ``GET
-.../jobs/{jid}/events`` streams the job's event bus as Server-Sent Events
-with ``Last-Event-ID`` resume.
+:class:`http.server.ThreadingHTTPServer`: the resource-routed API under
+``/api/v1``, whose routes are declared in the operation table
+(:data:`repro.server.handlers.OPERATIONS`).  Every request goes through that
+route table: the verb and path name the action, and failures carry real
+status codes (400 bad request or malformed body, 404 unknown route or
+resource, 409 duplicate, 413 over a size cap), always as a JSON envelope.
+``GET .../jobs/{jid}/events`` streams the job's event bus as Server-Sent
+Events with ``Last-Event-ID`` resume.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 import threading
@@ -58,14 +51,12 @@ from .handlers import (
     HANDLERS,
     OPERATIONS,
     SERVER_HANDLERS,
-    V1_ONLY_ACTIONS,
     Operation,
     ServerState,
     parse_flag,
 )
 from .protocol import (
     API_VERSION,
-    BARE_POST_DEPRECATION,
     ConflictError,
     NotFoundError,
     ProtocolError,
@@ -174,11 +165,6 @@ def _json_object(body: str) -> dict[str, Any]:
     return payload
 
 
-def _deprecated(response: Response) -> Response:
-    """Stamp the stage-2 deprecation notice onto a bare-POST response."""
-    return dataclasses.replace(response, deprecation=BARE_POST_DEPRECATION)
-
-
 class SystemDServer:
     """In-process SystemD backend serving many id-addressed sessions.
 
@@ -274,7 +260,7 @@ class SystemDServer:
             ) from exc
 
     # ------------------------------------------------------------------ #
-    def handle(self, request: Request | dict[str, Any] | str) -> Response:
+    def handle(self, request: Request) -> Response:
         """Process one request and return a response (never raises).
 
         Safe to call from many threads at once: session-scoped actions run
@@ -282,11 +268,9 @@ class SystemDServer:
         stats) rely on the registry's own synchronisation.
         """
         started = time.perf_counter()
-        request_id = ""
+        request_id = request.request_id
         session_id = ""
         try:
-            request = self._coerce_request(request)
-            request_id = request.request_id
             # The trace root: jobs submitted while this span is active parent
             # onto it, so an async analysis's timeline starts at its request.
             with trace.span("request", action=request.action):
@@ -333,13 +317,13 @@ class SystemDServer:
                 session_id=session_id,
                 elapsed_ms=elapsed_ms,
             )
-        self._record(getattr(request, "action", "?"), session_id, response)
+        self._record(request.action, session_id, response)
         return response
 
     def _record(self, action: str, session_id: str, response: Response) -> None:
         """Append one request outcome to the bounded log and counters."""
-        # Unknown action strings collapse onto one label so a fuzzing client
-        # cannot grow the label space unboundedly.
+        # Routing-layer failures are logged under adapter-written names
+        # (``job_events``), which collapse onto one label.
         label = action if action in ACTIONS else "invalid"
         _REQUESTS_TOTAL.labels(label, "true" if response.ok else "false").inc()
         _REQUEST_LATENCY.labels(label).observe(float(response.elapsed_ms))
@@ -355,45 +339,6 @@ class SystemDServer:
                     "elapsed_ms": response.elapsed_ms,
                 }
             )
-
-    def handle_json(self, payload: str) -> str:
-        """JSON-string in, JSON-string out (the wire-level entry point)."""
-        return json.dumps(self.handle(payload).to_dict())
-
-    def handle_http(self, body: str) -> tuple[int, Response]:
-        """Dispatch one HTTP request body, returning ``(status, response)``.
-
-        This is the bare-POST protocol surface, at deprecation stage 2: every
-        response it returns carries the :data:`BARE_POST_DEPRECATION` notice,
-        and :data:`V1_ONLY_ACTIONS` are rejected with a protocol error naming
-        their ``/api/v1`` route.  Envelope problems — invalid JSON, a
-        non-object body, a missing or unknown action — are rejected with
-        status 400 and a structured error response (still counted in the
-        request log); well-formed requests dispatch through :meth:`handle`
-        and return 200, with handler-level failures reported inside the
-        envelope as before.
-        """
-        payload: dict[str, Any] = {}
-        try:
-            payload = _json_object(body)
-            request = Request.from_dict(payload)
-        except ProtocolError as exc:
-            response = Response.failure(
-                str(exc), kind="protocol", request_id=str(payload.get("request_id") or "")
-            )
-            self._record(str(payload.get("action", "?")), "", response)
-            return 400, _deprecated(response)
-        if request.action in V1_ONLY_ACTIONS:
-            route = next(op.route for op in OPERATIONS if op.action == request.action)
-            response = Response.failure(
-                f"action {request.action!r} is served through /api/v1 only "
-                f"(bare-POST deprecation stage 2): {route}",
-                kind="protocol",
-                request_id=request.request_id,
-            )
-            self._record(request.action, "", response)
-            return 400, _deprecated(response)
-        return 200, _deprecated(self.handle(request))
 
     # ------------------------------------------------------------------ #
     # resource-routed API (/api/v1): HTTP verbs mapped onto actions
@@ -411,8 +356,7 @@ class SystemDServer:
         then body, then path parameters (``{sid}`` becomes ``session_id``,
         ``{jid}`` ``job_id``), and a job named in the path must belong to the
         session named there.  Returns ``None`` when no route matches ``(method,
-        path)``, or for the routes the HTTP adapter writes itself, so it can
-        answer them or fall back.  Unlike the bare-POST surface, handler
+        path)``, or for the routes the HTTP adapter writes itself.  Handler
         failures surface as real HTTP status codes via ``error_kind``.
         """
         query = query or {}
@@ -480,17 +424,6 @@ class SystemDServer:
                 "job_events", session_id, f"unknown session {session_id!r}", "not_found"
             )
         return self._job_session_error("job_events", session_id, job_id)
-
-    def _coerce_request(self, request: Request | dict[str, Any] | str) -> Request:
-        if isinstance(request, Request):
-            return request
-        if isinstance(request, str):
-            request = _json_object(request)
-        if isinstance(request, dict):
-            return Request.from_dict(request)
-        raise ProtocolError(
-            f"unsupported request type {type(request).__name__}; expected Request, dict, or str"
-        )
 
     # ------------------------------------------------------------------ #
     def request(
@@ -561,15 +494,16 @@ class _BodyRejected(Exception):
 
 
 class _SystemDHTTPHandler(BaseHTTPRequestHandler):
-    """HTTP adapter serving the bare-POST protocol and the ``/api/v1`` routes.
+    """HTTP adapter serving the ``/api/v1`` routes.
 
-    Every outcome — including malformed envelopes and internal faults — is a
-    JSON response envelope with a meaningful status code: 200 for dispatched
-    bare-POST requests, 400 for bad envelopes or a bad ``Content-Length``,
-    413 for bodies over :data:`MAX_BODY_BYTES`, resource-route statuses
-    (200/201/400/404/409/413) on ``/api/v1``, 405/501 for unroutable methods
-    (the ``send_error`` override keeps even stdlib-generated errors JSON),
-    500 only for unexpected adapter errors — never a bare HTML traceback.
+    Every outcome — including malformed bodies and internal faults — is a
+    JSON response envelope with a meaningful status code: the route's
+    statuses (200/201/400/404/409/413), 404 for a request no route matches
+    (an envelope POSTed to ``/`` included), 400 for a body that is not a
+    JSON object or a bad ``Content-Length``, 413 for bodies over
+    :data:`MAX_BODY_BYTES`, 501 for methods without a handler (the
+    ``send_error`` override keeps even stdlib-generated errors JSON), 500
+    only for unexpected adapter errors — never a bare HTML traceback.
     The non-JSON responses are the two routes the table declares without a
     handler, written here: ``GET .../jobs/{jid}/events``, a
     ``text/event-stream`` that frames the job's event bus as SSE, and
@@ -607,18 +541,10 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
         return self.rfile.read(length).decode("utf-8", errors="replace") if length else ""
 
     def _serve(self) -> None:
-        """Every verb: ``/api/`` paths go through the route table, a POST
-        anywhere else is a bare-POST envelope, anything else is 405."""
+        """Every verb and path goes through the route table."""
         try:
             path, query = self._split_target()
-            body = self._read_body()
-            if path.startswith("/api/"):
-                self._dispatch_rest(path, query, body)
-            elif self.command == "POST":
-                status, response = self.backend.handle_http(body)
-                self._send_json(status, response.to_dict(), deprecated=True)
-            else:
-                self._send_failure(405, "use POST with a JSON request envelope, or a /api/v1 route")
+            self._dispatch(path, query, self._read_body())
         except _BodyRejected as exc:
             self.close_connection = True  # the unread body must not be parsed as a request
             self._send_failure(exc.status, str(exc))
@@ -629,10 +555,15 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
 
     do_GET = do_POST = do_PUT = do_DELETE = _serve
 
-    def _dispatch_rest(self, path: str, query: dict[str, str], body: str) -> None:
-        """Route one ``/api/v1`` request, 404-ing unknown paths."""
+    def _dispatch(self, path: str, query: dict[str, str], body: str) -> None:
+        """Route one request: 404 when no route matches (before the body is
+        parsed), the adapter's own writer for a route without a handler,
+        ``handle_rest`` for the rest."""
         found = _match_route(self.command, path, query)
-        if found is not None and found[0].handler is None:
+        if found is None:
+            self._send_failure(404, f"no route for {self.command} {path}", "not_found")
+            return
+        if found[0].handler is None:
             getattr(self, f"_serve_{found[0].action}")(query, **found[1])
             return
         try:
@@ -640,11 +571,7 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
         except ProtocolError as exc:
             self._send_failure(400, str(exc))
             return
-        result = self.backend.handle_rest(self.command, path, query, parsed)
-        if result is None:
-            self._send_failure(404, f"no route for {self.command} {path}", "not_found")
-            return
-        status, response = result
+        status, response = self.backend.handle_rest(self.command, path, query, parsed)
         self._send_json(status, response.to_dict())
 
     def _serve_job_events(self, query: dict[str, str], session_id: str, job_id: str) -> None:
@@ -671,7 +598,11 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
             self._send_failure(400, f"invalid Last-Event-ID/after value {raw_after!r}")
             return
         cancel_on_disconnect = parse_flag(query.get("cancel_on_disconnect", ""))
-        subscription = backend.engine.events.subscribe(job_id, after_seq=after_seq)
+        try:
+            subscription = backend.engine.subscribe(job_id, after_seq=after_seq)
+        except UnknownJobError:  # evicted since the check
+            self._send_failure(404, f"unknown job {job_id!r}", "not_found")
+            return
         try:
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
@@ -723,25 +654,17 @@ class _SystemDHTTPHandler(BaseHTTPRequestHandler):
         # the stdlib falls back to send_error (an HTML page) for any method
         # without a do_* handler (PATCH, HEAD, OPTIONS, ...); keep every
         # outcome a structured JSON envelope instead
-        self._send_failure(
-            int(code), str(message) if message else "use POST with a JSON request envelope"
-        )
+        self._send_failure(int(code), str(message) if message else "see the /api/v1 routes")
 
     def _send_failure(self, status: int, message: str, kind: str = "protocol") -> None:
         self._send_json(status, Response.failure(message, kind=kind).to_dict())
 
-    def _send_json(
-        self, status: int, payload: dict[str, Any], *, deprecated: bool = False
-    ) -> None:
+    def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         encoded = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(encoded)))
         self.send_header("X-Repro-Api-Version", API_VERSION)
-        if deprecated:
-            # RFC 9111 miscellaneous warning: the bare-POST protocol surface
-            # is at deprecation stage 2 (see repro.server.protocol)
-            self.send_header("Warning", f'299 - "{BARE_POST_DEPRECATION}"')
         self.end_headers()
         self.wfile.write(encoded)
 

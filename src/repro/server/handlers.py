@@ -2,11 +2,11 @@
 
 Every backend operation is declared once, in :data:`OPERATIONS`, beside its
 handler: its scope, whether it can run as an engine job (and on the process
-pool), its ``/api/v1`` route and success status, whether it is
-``/api/v1``-only, and one doc line.  The dispatch tables, the action
-vocabulary, the engine's process routing and the HTTP router are all derived
-from that table, and the README's action and route tables are rendered from
-it (``tests/server/test_operation_docs.py`` fails when they are stale).
+pool), its ``/api/v1`` route and success status, and one doc line.  The
+dispatch tables, the action vocabulary, the engine's process routing and the
+HTTP router are all derived from that table, and the README's action and
+route tables are rendered from it (``tests/server/test_operation_docs.py``
+fails when they are stale).
 
 Session-scoped handlers (:data:`HANDLERS`) receive one mutable
 :class:`ServerState` — the analysis the request's ``session_id`` routed to —
@@ -57,7 +57,6 @@ __all__ = [
     "PROCESS_ACTIONS",
     "SERVER_HANDLERS",
     "ServerState",
-    "V1_ONLY_ACTIONS",
     "parse_flag",
 ]
 
@@ -139,8 +138,9 @@ def _check_cap(name: str, value: float, limit: int) -> None:
 # --------------------------------------------------------------------------- #
 # handlers
 # --------------------------------------------------------------------------- #
-def handle_list_use_cases(state: ServerState, params: dict[str, Any]) -> dict[str, Any]:
-    """(A) List the registered business use cases."""
+def handle_list_use_cases(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
+    """(A) List the registered business use cases (server-scoped: the
+    catalogue reads no session, so a read creates none)."""
     return {
         "use_cases": [
             {
@@ -649,7 +649,6 @@ def handle_metrics(server: "SystemDServer", params: dict[str, Any]) -> dict[str,
 
 # --------------------------------------------------------------------------- #
 # server-scoped handlers: ledger versions, share ids, durable-state stats
-# (deprecation stage 2: these actions are served through /api/v1 only)
 # --------------------------------------------------------------------------- #
 def _resolve_session_id(params: dict[str, Any]) -> str:
     # imported here like UnknownSessionError elsewhere: the registry imports
@@ -910,18 +909,15 @@ def handle_sweep(server: "SystemDServer", params: dict[str, Any]) -> dict[str, A
 def handle_sweep_result(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
     """Fetch a sweep job's ranked result.
 
-    Address the job either by ``job_id`` or by the ``space_hash`` that
-    ``sweep`` returned (the most recently submitted sweep job of the
-    request's session for that hash).  Waiting semantics match
-    ``job_result``.
+    Address the job by the ``space_hash`` that ``sweep`` returned (the most
+    recently submitted sweep job of the request's session for that hash), or
+    by ``job_id``.  A hash wins over a job id, so a job id sent alongside
+    the route's hash cannot reach another session's job.  Waiting semantics
+    match ``job_result``.
     """
     job_id = params.get("job_id")
-    if not job_id:
-        space_hash = params.get("space_hash")
-        if not space_hash:
-            raise ProtocolError(
-                "either 'job_id' or 'space_hash' is required for sweep_result"
-            )
+    space_hash = params.get("space_hash")
+    if space_hash:
         # resolve the session exactly like submission does: an omitted id
         # means the default session, never "any session with this hash"
         session_id = _resolve_session_id(params)
@@ -937,6 +933,8 @@ def handle_sweep_result(server: "SystemDServer", params: dict[str, Any]) -> dict
                 "are retained LRU; it may have been evicted)"
             )
         job_id = candidates[-1].job_id
+    elif not job_id:
+        raise ProtocolError("either 'job_id' or 'space_hash' is required for sweep_result")
     return handle_job_result(server, {**params, "job_id": job_id})
 
 
@@ -966,13 +964,12 @@ class Operation:
     route:
         ``"METHOD /api/v1/path"``, with ``{sid}`` / ``{jid}`` / ``{name}``
         path parameters and, at most once in the table, a ``?flag=1``
-        selector that must be set for the route to match; ``""`` for none.
+        selector that must be set for the route to match; ``""`` for the
+        job-able analyses, which HTTP clients run through ``submit``, and
+        for ``metrics``, which ``GET /api/v1/metrics?format=json`` answers.
         Routes match in table order.
     status:
         HTTP status of a success on the route (201 for creates).
-    v1_only:
-        Served through ``/api/v1`` only; bare-POST envelopes naming it are
-        rejected (deprecation stage 2).
     """
 
     action: str
@@ -983,7 +980,6 @@ class Operation:
     pool: bool = False
     route: str = ""
     status: int = 200
-    v1_only: bool = False
 
 
 # Routes match in table order.
@@ -999,26 +995,32 @@ OPERATIONS: tuple[Operation, ...] = (
     # before every GET /sessions/{sid}/...: /sessions/share/x names a share
     Operation("resolve_share", handle_resolve_share,
               "resolve a read-only share id to its session summary",
-              scope="server", route="GET /api/v1/sessions/share/{share_id}", v1_only=True),
+              scope="server", route="GET /api/v1/sessions/share/{share_id}"),
     Operation("get_session", handle_get_session, "one session's summary, live or dormant",
-              scope="server", route="GET /api/v1/sessions/{sid}", v1_only=True),
+              scope="server", route="GET /api/v1/sessions/{sid}"),
     Operation("close_session", handle_close_session,
               "unregister a session and delete its durable record",
               scope="server", route="DELETE /api/v1/sessions/{sid}"),
     Operation("server_stats", handle_server_stats,
-              "registry, model-cache, engine and request counters", scope="server"),
+              "registry, model-cache, engine and request counters",
+              scope="server", route="GET /api/v1/stats"),
     Operation("metrics", handle_metrics, "JSON twin of the Prometheus exposition",
               scope="server"),
     Operation("prometheus", None,
               "Prometheus text exposition; `?format=json` answers the `metrics` action",
               route="GET /api/v1/metrics"),
     # -- the paper's views (Figure 2)
-    Operation("list_use_cases", handle_list_use_cases, "(A) use-case selection"),
+    Operation("list_use_cases", handle_list_use_cases, "(A) use-case selection",
+              scope="server", route="GET /api/v1/use-cases"),
     Operation("load_use_case", handle_load_use_case,
-              "(A)+(B) load a use case's dataset, return a table preview"),
-    Operation("describe_dataset", handle_describe_dataset, "(B) table-view metadata"),
-    Operation("set_kpi", handle_set_kpi, "(C) KPI selection"),
-    Operation("set_drivers", handle_set_drivers, "(D) driver selection"),
+              "(A)+(B) load a use case's dataset, return a table preview",
+              route="PUT /api/v1/sessions/{sid}/dataset"),
+    Operation("describe_dataset", handle_describe_dataset, "(B) table-view metadata",
+              route="GET /api/v1/sessions/{sid}/dataset"),
+    Operation("set_kpi", handle_set_kpi, "(C) KPI selection",
+              route="PUT /api/v1/sessions/{sid}/kpi"),
+    Operation("set_drivers", handle_set_drivers, "(D) driver selection",
+              route="PUT /api/v1/sessions/{sid}/drivers"),
     Operation("driver_importance", handle_driver_importance, "(E) driver importance analysis",
               job=True, pool=True),
     Operation("sensitivity", handle_sensitivity,
@@ -1059,20 +1061,20 @@ OPERATIONS: tuple[Operation, ...] = (
               route="GET /api/v1/sessions/{sid}/jobs/{jid}/events"),
     Operation("sweep", handle_sweep,
               "queue a scenario-space sweep as a job; identical spaces coalesce",
-              scope="server"),
+              scope="server", route="POST /api/v1/sessions/{sid}/sweeps", status=201),
     Operation("sweep_result", handle_sweep_result,
-              "a sweep job's ranked result, by job id or space hash", scope="server"),
+              "a sweep job's ranked result, by space hash or job id",
+              scope="server", route="GET /api/v1/sessions/{sid}/sweeps/{space_hash}"),
     # -- ledger versions and durable state
     Operation("create_version", handle_create_version,
               "snapshot the scenario ledger as an immutable, named version",
-              scope="server", route="POST /api/v1/sessions/{sid}/versions", status=201,
-              v1_only=True),
+              scope="server", route="POST /api/v1/sessions/{sid}/versions", status=201),
     Operation("list_versions", handle_list_versions,
               "a session's ledger versions (`?limit=&offset=`)",
-              scope="server", route="GET /api/v1/sessions/{sid}/versions", v1_only=True),
+              scope="server", route="GET /api/v1/sessions/{sid}/versions"),
     Operation("persist_stats", handle_persist_stats,
               "durable-state backend identity, row counts and recovery counters",
-              scope="server", route="GET /api/v1/persistence", v1_only=True),
+              scope="server", route="GET /api/v1/persistence"),
 )
 # fmt: on
 
@@ -1096,8 +1098,6 @@ def _job_runner(handler: Callable[..., dict[str, Any]]) -> Callable[..., dict[st
 
 #: The action vocabulary: every operation with a handler.
 ACTIONS = tuple(op.action for op in OPERATIONS if op.handler is not None)
-#: Actions served through their ``/api/v1`` routes only.
-V1_ONLY_ACTIONS = frozenset(op.action for op in OPERATIONS if op.v1_only)
 #: Session-scoped dispatch: ``handler(state, params)`` under the session lock.
 HANDLERS = {op.action: op.handler for op in OPERATIONS if op.handler and op.scope == "session"}
 #: Server-scoped dispatch: ``handler(server, params)``, outside any session

@@ -2,48 +2,28 @@
 
 The original SystemD has a browser client that sends JSON requests to a Python
 backend and re-renders views from the JSON responses.  This module defines the
-message envelope; the action vocabulary — one action per view or interaction
-of the paper's Figure 2, plus session management, the async analysis engine
-and durable state — is the operation table
+request and the response envelope; the action vocabulary — one action per
+view or interaction of the paper's Figure 2, plus session management, the
+async analysis engine and durable state — is the operation table
 :data:`repro.server.handlers.OPERATIONS`, which also declares each action's
 ``/api/v1`` route.  The README's action and route tables are generated from
 it.
 
-Every request may carry a ``session_id`` (envelope field or inside
-``params``) routing it to one registered session; requests without one fall
-back to a shared default session, preserving the seed's single-analysis
-behaviour.
-
-Requests and responses are plain dataclasses that serialise to/from dicts, so
-they can travel over any transport (the in-process dispatcher used in tests
-and benchmarks, or the stdlib HTTP wrapper in :mod:`repro.server.app`).
+A :class:`Request` names its action, its parameters and the ``session_id``
+(or ``params["session_id"]``) it routes to; requests without one fall back
+to a shared default session, preserving the seed's single-analysis
+behaviour.  Requests are built in-process — by ``SystemDServer.request`` in
+tests, benchmarks and examples, or by the HTTP adapter in
+:mod:`repro.server.app` from a route match — so they carry no wire parser.
 
 **Versioned envelope.**  Every response carries ``"api_version":
-:data:`API_VERSION`` (and HTTP transports add an ``X-Repro-Api-Version``
+:data:`API_VERSION`` (and the HTTP adapter adds an ``X-Repro-Api-Version``
 header), so clients can detect envelope evolution without sniffing fields.
 Failures additionally carry ``error_kind`` — ``"protocol"`` (malformed or
 invalid request), ``"not_found"`` (unknown session/job/resource),
 ``"conflict"`` (duplicate creation), ``"too_large"`` (a size over its cap),
-or ``"internal"`` — which the resource-routed HTTP API maps onto
-400/404/409/413/500 status codes.
-
-**HTTP transports and the bare-POST deprecation path.**  The original wire
-transport — POST one request envelope to any path, always receiving 200 with
-errors inside the envelope — remains fully supported and byte-compatible
-(modulo the additive ``api_version``/``error_kind`` fields above).  New
-clients should prefer the resource-routed ``/api/v1`` API served alongside
-it.  Deprecation path for the bare-POST protocol — **stage 2 is in effect**:
-
-1. *(done)* both transports served, bare POST was the compatibility surface;
-2. **(now)** every bare-POST response carries a ``deprecation`` notice field
-   (and HTTP bare-POST responses a ``Warning: 299`` header), and new
-   capabilities land on ``/api/v1`` only — the operations declared
-   ``v1_only`` are rejected with a protocol error naming their ``/api/v1``
-   route when sent as bare-POST envelopes;
-3. *(eventually)* bare POST becomes opt-in via server configuration.
-
-No stage breaks the envelope: ``ok``/``data``/``error`` keep their meaning
-throughout, and ``/api/v1`` responses never carry ``deprecation``.
+or ``"internal"`` — which the HTTP API maps onto 400/404/409/413/500 status
+codes.
 """
 
 from __future__ import annotations
@@ -53,7 +33,6 @@ from typing import Any
 
 __all__ = [
     "API_VERSION",
-    "BARE_POST_DEPRECATION",
     "ConflictError",
     "NotFoundError",
     "ProtocolError",
@@ -65,15 +44,6 @@ __all__ = [
 #: Version stamped into every response envelope (and the
 #: ``X-Repro-Api-Version`` HTTP header).
 API_VERSION = "1"
-
-#: The stage-2 notice attached to every bare-POST response envelope (see the
-#: deprecation path in the module docstring).
-#: Kept ASCII-only: HTTP headers are latin-1 encoded and this string rides
-#: in the bare-POST ``Warning`` header verbatim.
-BARE_POST_DEPRECATION = (
-    "the bare-POST protocol is deprecated (stage 2); use the resource-routed "
-    "/api/v1 API, where new capabilities land exclusively"
-)
 
 
 class ProtocolError(Exception):
@@ -131,30 +101,6 @@ class Request:
                 f"unknown action {self.action!r}; valid actions: {', '.join(ACTIONS)}"
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe representation."""
-        return {
-            "action": self.action,
-            "params": dict(self.params),
-            "request_id": self.request_id,
-            "session_id": self.session_id,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "Request":
-        """Parse a request dict (raises :class:`ProtocolError` when malformed)."""
-        if "action" not in payload:
-            raise ProtocolError("request is missing the 'action' field")
-        params = payload.get("params", {})
-        if not isinstance(params, dict):
-            raise ProtocolError("'params' must be an object")
-        return cls(
-            action=str(payload["action"]),
-            params=params,
-            request_id=str(payload.get("request_id") or ""),
-            session_id=str(payload.get("session_id") or ""),
-        )
-
 
 @dataclass(frozen=True)
 class Response:
@@ -182,11 +128,6 @@ class Response:
         Server-side processing time, surfaced so the latency benchmark (P1)
         can report per-view response times the way the paper's "fast real-time
         response" requirement frames them.
-    deprecation:
-        Stage-2 deprecation notice attached by the bare-POST transport
-        (:data:`BARE_POST_DEPRECATION`).  Serialised only when set, keeping
-        ``/api/v1`` and in-process envelopes byte-compatible with earlier
-        clients.
     """
 
     ok: bool
@@ -196,7 +137,6 @@ class Response:
     request_id: str = ""
     session_id: str = ""
     elapsed_ms: float = 0.0
-    deprecation: str = ""
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe representation."""
@@ -211,8 +151,6 @@ class Response:
         }
         if self.error_kind:
             payload["error_kind"] = self.error_kind
-        if self.deprecation:
-            payload["deprecation"] = self.deprecation
         return payload
 
     @classmethod

@@ -100,3 +100,21 @@ def test_leaves_and_restart_table_match_a_per_tree_walk(forest_and_X):
         for feature in range(table.shape[0]):
             splitting = [a for a in ancestors if kernel.feature[a] == feature]
             assert table[feature, node] == (splitting[-1] if splitting else -1)
+
+
+def test_fancy_indexed_restart_equals_a_full_pass():
+    # leaves gathered with an index array come back F-ordered; the restart
+    # must still write the re-walked lanes into the leaves it scores
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(600, 4))
+    y = (X[:, 0] + rng.normal(size=600) > 0).astype(float)
+    forest = RandomForestClassifier(n_estimators=10, random_state=0).fit(X, y)
+    leaves = baseline_leaves(forest, X)
+    idx = np.arange(0, 600, 3)
+    stacked = leaves[:, idx]
+    assert stacked.flags.f_contiguous and not stacked.flags.c_contiguous
+    moved = X.copy()
+    moved[:, 0] += 1.5
+    full = forest.predict_proba(moved[idx])
+    assert not np.array_equal(full, forest.predict_proba(X[idx]))
+    assert np.array_equal(forest.predict_proba(moved[idx], restart=(stacked, 0)), full)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.server import SystemDServer
+from repro.server import Request, SystemDServer
 
 
 @pytest.fixture(scope="module")
@@ -130,26 +130,15 @@ class TestAnalysisActions:
 
 class TestWireFormat:
     def test_json_round_trip(self, server):
-        raw = json.dumps(
-            {"action": "sensitivity", "request_id": "r-9",
-             "params": {"perturbations": {"Call": 15.0}}}
-        )
-        payload = json.loads(server.handle_json(raw))
+        request = Request("sensitivity", {"perturbations": {"Call": 15.0}}, request_id="r-9")
+        payload = json.loads(json.dumps(server.handle(request).to_dict()))
         assert payload["ok"] is True
         assert payload["request_id"] == "r-9"
-        assert json.dumps(payload)  # fully JSON-serialisable
-
-    def test_invalid_json(self, server):
-        payload = json.loads(server.handle_json("{not json"))
-        assert payload["ok"] is False
 
     def test_unknown_action_is_error_response(self, server):
-        payload = json.loads(server.handle_json(json.dumps({"action": "explode"})))
-        assert payload["ok"] is False
-
-    def test_unsupported_request_type(self, server):
-        response = server.handle(12345)  # type: ignore[arg-type]
+        response = server.request("submit", {"action": "explode"})
         assert not response.ok
+        assert "explode" in response.error
 
     def test_request_log_grows(self, server):
         before = len(server.request_log)
@@ -160,10 +149,10 @@ class TestWireFormat:
     def test_internal_errors_do_not_crash(self, server, monkeypatch):
         from repro.server import handlers
 
-        def boom(state, params):
+        def boom(server, params):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setitem(handlers.HANDLERS, "list_use_cases", boom)
+        monkeypatch.setitem(handlers.SERVER_HANDLERS, "list_use_cases", boom)
         response = server.request("list_use_cases")
         assert not response.ok
         assert "kaboom" in response.error
@@ -182,7 +171,7 @@ class TestHTTPWrapper:
         thread.start()
         try:
             connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-            connection.request("POST", "/", body=json.dumps({"action": "list_use_cases"}))
+            connection.request("GET", "/api/v1/use-cases")
             response = connection.getresponse()
             payload = json.loads(response.read())
             assert response.status == 200

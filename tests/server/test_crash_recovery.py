@@ -102,11 +102,14 @@ class ServerProc:
         request = urllib.request.Request(self.base_url + path)
         return self._fetch(request, timeout)
 
-    def post(self, path: str, payload: dict, timeout: float = 60.0) -> tuple[int, dict]:
+    def send(
+        self, method: str, path: str, payload: dict, timeout: float = 60.0
+    ) -> tuple[int, dict]:
         request = urllib.request.Request(
             self.base_url + path,
             data=json.dumps(payload).encode("utf-8"),
             headers={"Content-Type": "application/json"},
+            method=method,
         )
         return self._fetch(request, timeout)
 
@@ -184,49 +187,35 @@ def state_dir(tmp_path):
             shutil.copy(db, target / f"{db.stem}-{db.stat().st_ino}.sqlite3")
 
 
+def run_job(server: ServerProc, sid: str, params: dict) -> tuple[str, dict]:
+    """Run one sensitivity job to completion; return its id and result
+    envelope."""
+    path = f"/api/v1/sessions/{sid}/jobs"
+    status, submitted = server.send("POST", path, {"action": "sensitivity", "params": params})
+    assert status == 201, submitted
+    job_id = submitted["data"]["job"]["job_id"]
+    status, result = server.get(f"{path}/{job_id}?result=1&wait=1&timeout_s=60")
+    assert status == 200 and result["ok"], result
+    return job_id, result
+
+
 def populate(server: ServerProc, sid: str) -> dict:
     """Create a session, track two scenarios, finish one job; return the
     pre-crash observations the restarted server must reproduce bitwise."""
-    status, created = server.post("/api/v1/sessions", {"session_id": sid})
+    status, created = server.send("POST", "/api/v1/sessions", {"session_id": sid})
     assert status == 201, created
     share_id = created["data"]["share_id"]
-    status, loaded = server.post(
-        "/",
-        {
-            "action": "load_use_case",
-            "session_id": sid,
-            "params": {
-                "use_case": "deal_closing",
-                "dataset_kwargs": {"n_prospects": 80},
-                "random_state": 3,
-            },
-        },
+    status, loaded = server.send(
+        "PUT",
+        f"/api/v1/sessions/{sid}/dataset",
+        {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": 80}, "random_state": 3},
     )
     assert status == 200 and loaded["ok"], loaded
     for pct in (10.0, 25.0):
-        status, ran = server.post(
-            "/",
-            {
-                "action": "sensitivity",
-                "session_id": sid,
-                "params": {
-                    "perturbations": {DRIVER: pct},
-                    "track_as": f"email +{pct:g}%",
-                },
-            },
-        )
-        assert status == 200 and ran["ok"], ran
+        params = {"perturbations": {DRIVER: pct}, "track_as": f"email +{pct:g}%"}
+        run_job(server, sid, params)
 
-    status, submitted = server.post(
-        f"/api/v1/sessions/{sid}/jobs",
-        {"action": "sensitivity", "params": {"perturbations": {DRIVER: 33.0}}},
-    )
-    assert status == 201, submitted
-    job_id = submitted["data"]["job"]["job_id"]
-    status, result = server.get(
-        f"/api/v1/sessions/{sid}/jobs/{job_id}?result=1&wait=1&timeout_s=60"
-    )
-    assert status == 200 and result["ok"], result
+    job_id, result = run_job(server, sid, {"perturbations": {DRIVER: 33.0}})
 
     status, scenarios = server.get(f"/api/v1/sessions/{sid}/scenarios")
     assert status == 200, scenarios
@@ -246,22 +235,19 @@ class TestSigkillRecovery:
             before = populate(first, sid)
             # leave a sweep in flight so the crash interrupts a real job; the
             # space is large enough that the kill always beats its completion
-            status, inflight = first.post(
-                "/",
+            status, inflight = first.send(
+                "POST",
+                f"/api/v1/sessions/{sid}/sweeps",
                 {
-                    "action": "sweep",
-                    "session_id": sid,
-                    "params": {
-                        "space": {
-                            "axes": [
-                                {"driver": DRIVER, "start": -40, "stop": 40, "step": 1},
-                                {"driver": "Call", "start": -40, "stop": 40, "step": 1},
-                            ]
-                        }
-                    },
+                    "space": {
+                        "axes": [
+                            {"driver": DRIVER, "start": -40, "stop": 40, "step": 1},
+                            {"driver": "Call", "start": -40, "stop": 40, "step": 1},
+                        ]
+                    }
                 },
             )
-            assert status == 200 and inflight["ok"], inflight
+            assert status == 201 and inflight["ok"], inflight
             inflight_id = inflight["data"]["job"]["job_id"]
             first.sigkill()
         finally:

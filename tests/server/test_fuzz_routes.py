@@ -53,6 +53,10 @@ def server():
     )
     job_id = submitted.data["job"]["job_id"]
     assert backend.request("job_result", job_id=job_id, timeout_s=60).ok
+    swept = backend.request(
+        "sweep", session_id=SESSION, space={"axes": [{"driver": "Call", "amounts": [0, 10]}]}
+    )
+    assert backend.request("job_result", job_id=swept.data["job"]["job_id"], timeout_s=60).ok
     # a job on a session whose lock the test holds stays running until teardown
     assert backend.request("create_session", session_id=HELD).ok
     held = backend.registry.get(HELD).lock
@@ -62,6 +66,7 @@ def server():
         "sid": SESSION,
         "jid": job_id,
         "share_id": created.data["share_id"],
+        "space_hash": swept.data["space_hash"],
         "running": running.data["job"]["job_id"],
     }
     yield httpd, ids
@@ -176,6 +181,7 @@ def requests(draw):
         "sid": draw(st.sampled_from(sids)),
         "jid": draw(st.sampled_from(["{jid}", "{jid}", "j-ghost", "0"])),
         "share_id": draw(st.sampled_from(["{share_id}", "sh-ghost"])),
+        "space_hash": draw(st.sampled_from(["{space_hash}", "{space_hash}", "0" * 16])),
     }
     for name, value in ids.items():
         path = path.replace("{" + name + "}", value)
@@ -183,6 +189,8 @@ def requests(draw):
         bodies = submit_bodies
     elif method == "POST" and path == "/api/v1/sessions":
         bodies = create_bodies
+    elif method == "POST" and path.endswith("/sweeps"):
+        bodies = st.fixed_dictionaries({"space": spaces}, optional={"top_k": small_or_over(10)})
     else:
         bodies = st.none() | generic_bodies
     if draw(st.integers(0, 4)) == 0:  # now and then a body that is no JSON object

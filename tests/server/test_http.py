@@ -1,8 +1,9 @@
 """HTTP round-trip regression tests for :func:`repro.server.app.serve_http`.
 
-Malformed JSON, non-object bodies, and unknown actions must come back as
-structured JSON error envelopes with 4xx status codes — never bare 500s or
-HTML tracebacks — and the async engine actions must work over the wire.
+Malformed JSON, non-object bodies, unknown actions and unrouted requests
+must come back as structured JSON error envelopes with 4xx status codes —
+never bare 500s or HTML tracebacks — and the async engine actions must work
+over the wire.
 """
 
 from __future__ import annotations
@@ -19,23 +20,32 @@ import pytest
 from repro.server import serve_http
 from repro.server.app import MAX_BODY_BYTES
 
+JOBS = "/api/v1/sessions/default/jobs"
+
 
 @pytest.fixture(scope="module")
-def base_url():
+def httpd():
     httpd = serve_http(port=0)  # port 0: the OS picks a free port
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     host, port = httpd.server_address[:2]
-    yield f"http://{host}:{port}/"
+    httpd.base_url = f"http://{host}:{port}"
+    yield httpd
     httpd.shutdown()
     httpd.backend.close()
     httpd.server_close()
 
 
-def post(base_url: str, body: str, timeout: float = 60.0):
-    """POST a raw body; returns (status, decoded JSON envelope)."""
+@pytest.fixture(scope="module")
+def base_url(httpd):
+    return httpd.base_url
+
+
+def send(base_url: str, method: str, path: str, body: str | None = None, timeout=60.0):
+    """One raw-body request; returns (status, decoded JSON envelope)."""
+    data = None if body is None else body.encode("utf-8")
     request = urllib.request.Request(
-        base_url, data=body.encode("utf-8"), headers={"Content-Type": "application/json"}
+        base_url + path, data=data, method=method, headers={"Content-Type": "application/json"}
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
@@ -51,7 +61,7 @@ def post_declaring(base_url: str, content_length: str, timeout: float = 10.0):
     with socket.create_connection((target.hostname, target.port), timeout=timeout) as sock:
         sock.sendall(
             (
-                f"POST / HTTP/1.1\r\nHost: {target.hostname}\r\n"
+                f"POST /api/v1/sessions HTTP/1.1\r\nHost: {target.hostname}\r\n"
                 f"Content-Type: application/json\r\nContent-Length: {content_length}\r\n\r\n"
             ).encode("ascii")
         )
@@ -86,7 +96,7 @@ class TestBodyBounds:
 
 class TestEnvelopeErrors:
     def test_valid_request_is_200(self, base_url):
-        status, envelope = post(base_url, json.dumps({"action": "list_use_cases"}))
+        status, envelope = send(base_url, "GET", "/api/v1/use-cases")
         assert status == 200
         assert envelope["ok"]
         assert {u["key"] for u in envelope["data"]["use_cases"]} == {
@@ -96,95 +106,65 @@ class TestEnvelopeErrors:
         }
 
     def test_malformed_json_is_400_with_structured_body(self, base_url):
-        status, envelope = post(base_url, "{not json at all")
+        status, envelope = send(base_url, "POST", "/api/v1/sessions", "{not json at all")
         assert status == 400
         assert envelope["ok"] is False
         assert "not valid JSON" in envelope["error"]
 
     def test_non_object_body_is_400(self, base_url):
-        status, envelope = post(base_url, json.dumps([1, 2, 3]))
+        status, envelope = send(base_url, "POST", "/api/v1/sessions", json.dumps([1, 2, 3]))
         assert status == 400
         assert not envelope["ok"]
         assert "JSON object" in envelope["error"]
 
     def test_unknown_action_is_400(self, base_url):
-        status, envelope = post(
-            base_url, json.dumps({"action": "weather_forecast", "request_id": "r1"})
-        )
+        status, envelope = send(base_url, "POST", JOBS, json.dumps({"action": "weather_forecast"}))
         assert status == 400
         assert not envelope["ok"]
-        assert "unknown action" in envelope["error"]
-        assert envelope["request_id"] == "r1"
+        assert "'weather_forecast' cannot run as a job" in envelope["error"]
 
     def test_missing_action_is_400(self, base_url):
-        status, envelope = post(base_url, json.dumps({"params": {}}))
+        status, envelope = send(base_url, "POST", JOBS, json.dumps({"params": {}}))
         assert status == 400
-        assert "missing the 'action' field" in envelope["error"]
+        assert "'action' parameter is required" in envelope["error"]
 
     def test_empty_body_is_400(self, base_url):
-        status, envelope = post(base_url, "")
+        status, envelope = send(base_url, "POST", JOBS, "")
         assert status == 400
         assert not envelope["ok"]
 
-    def test_get_is_405_with_json_body(self, base_url):
-        try:
-            with urllib.request.urlopen(base_url, timeout=30) as response:
-                status, body = response.status, response.read()
-        except urllib.error.HTTPError as error:
-            status, body = error.code, error.read()
-        assert status == 405
-        envelope = json.loads(body.decode("utf-8"))
-        assert not envelope["ok"]
-        assert "POST" in envelope["error"]
+    def test_envelope_posted_to_root_is_404_and_runs_nothing(self, base_url):
+        _, before = send(base_url, "GET", "/api/v1/sessions")
+        envelope = {"action": "create_session", "params": {"session_id": "via-root"}}
+        status, answer = send(base_url, "POST", "/", json.dumps(envelope))
+        assert status == 404
+        assert answer["ok"] is False and answer["error_kind"] == "not_found"
+        assert "no route for POST /" in answer["error"]
+        _, after = send(base_url, "GET", "/api/v1/sessions")
+        assert after["data"]["total"] == before["data"]["total"]
 
-    def test_handler_level_failure_stays_200(self, base_url):
-        # a well-formed envelope whose handler rejects the params: the
-        # pre-existing behaviour (ok=false inside a 200) is preserved
-        status, envelope = post(
-            base_url, json.dumps({"action": "load_use_case", "params": {}})
-        )
-        assert status == 200
-        assert not envelope["ok"]
-        assert "'use_case' parameter is required" in envelope["error"]
+    def test_get_outside_the_api_is_404(self, base_url):
+        status, envelope = send(base_url, "GET", "/")
+        assert status == 404
+        assert envelope["error_kind"] == "not_found"
 
 
 class TestAsyncOverHttp:
-    def test_submit_poll_fetch_round_trip(self, base_url):
-        status, loaded = post(
-            base_url,
-            json.dumps(
-                {
-                    "action": "load_use_case",
-                    "params": {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": 150}},
-                }
-            ),
-        )
+    def test_submit_poll_fetch_round_trip(self, httpd):
+        base_url = httpd.base_url
+        load = {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": 150}}
+        status, loaded = send(base_url, "PUT", "/api/v1/sessions/default/dataset", json.dumps(load))
         assert status == 200 and loaded["ok"], loaded
         perturbations = {"Open Marketing Email": 40.0}
-        _, sync = post(
-            base_url,
-            json.dumps({"action": "sensitivity", "params": {"perturbations": perturbations}}),
-        )
-        assert sync["ok"], sync
-        status, submitted = post(
-            base_url,
-            json.dumps(
-                {
-                    "action": "submit",
-                    "params": {"action": "sensitivity", "params": {"perturbations": perturbations}},
-                }
-            ),
-        )
-        assert status == 200 and submitted["ok"], submitted
+        sync = httpd.backend.request("sensitivity", perturbations=perturbations)
+        assert sync.ok, sync.error
+        submit = {"action": "sensitivity", "params": {"perturbations": perturbations}}
+        status, submitted = send(base_url, "POST", JOBS, json.dumps(submit))
+        assert status == 201 and submitted["ok"], submitted
         job_id = submitted["data"]["job"]["job_id"]
-        _, result = post(
-            base_url,
-            json.dumps(
-                {"action": "job_result", "params": {"job_id": job_id, "timeout_s": 60}}
-            ),
-        )
-        assert result["ok"], result
+        status, result = send(base_url, "GET", f"{JOBS}/{job_id}?result=1&timeout_s=60")
+        assert status == 200 and result["ok"], result
         assert result["data"]["job"]["state"] == "done"
-        assert result["data"]["result"] == sync["data"]
-        _, stats = post(base_url, json.dumps({"action": "server_stats"}))
+        assert result["data"]["result"] == sync.data
+        _, stats = send(base_url, "GET", "/api/v1/stats")
         assert stats["data"]["engine"]["done_total"] >= 1

@@ -25,12 +25,11 @@ def render_tables() -> str:
             method, target = op.route.split(" ", 1)
             action = f"`{op.action}`" if op.handler else "—"
             rows.append(f"| `{method}` | `{target}` | {action} | {op.status} | {op.doc} |")
-    rows += ["", "| Action | Scope | As a job | Bare POST | What it does |", rows[1]]
+    rows += ["", "| Action | Scope | As a job | What it does |", "|---|---|---|---|"]
     for op in OPERATIONS:
         if op.handler:
             job = "process pool" if op.pool else "thread" if op.job else "—"
-            bare = "no (`/api/v1` only)" if op.v1_only else "yes"
-            rows.append(f"| `{op.action}` | {op.scope} | {job} | {bare} | {op.doc} |")
+            rows.append(f"| `{op.action}` | {op.scope} | {job} | {op.doc} |")
     return "\n".join(rows)
 
 

@@ -28,34 +28,6 @@ class TestRequest:
         with pytest.raises(ProtocolError):
             Request(action="drop_tables")
 
-    def test_from_dict(self):
-        request = Request.from_dict(
-            {"action": "sensitivity", "params": {"perturbations": {"Call": 10}}, "request_id": "r1"}
-        )
-        assert request.action == "sensitivity"
-        assert request.request_id == "r1"
-
-    def test_from_dict_null_ids_fall_back_to_empty(self):
-        # JSON clients serialise unset fields as null; that must not route
-        # to a session literally named "None"
-        request = Request.from_dict(
-            {"action": "describe_dataset", "request_id": None, "session_id": None}
-        )
-        assert request.request_id == ""
-        assert request.session_id == ""
-
-    def test_from_dict_missing_action(self):
-        with pytest.raises(ProtocolError):
-            Request.from_dict({"params": {}})
-
-    def test_from_dict_bad_params(self):
-        with pytest.raises(ProtocolError):
-            Request.from_dict({"action": "sensitivity", "params": [1, 2]})
-
-    def test_round_trip(self):
-        request = Request(action="set_kpi", params={"kpi": "Sales"}, request_id="abc")
-        assert Request.from_dict(request.to_dict()) == request
-
 
 class TestResponse:
     def test_success_and_failure_constructors(self):

@@ -3,8 +3,8 @@
 Every route gets exercised over a real socket: verb→action mapping, the
 versioned envelope (``api_version`` field + ``X-Repro-Api-Version`` header),
 real status codes (201 created, 404 unknown resource, 409 duplicate, 400 bad
-request), pagination query params, and the bare-POST protocol staying
-byte-compatible alongside.
+request) and pagination query params; every action in ``ACTIONS`` is shown
+reachable over HTTP.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import urllib.request
 
 import pytest
 
-from repro.server import API_VERSION, serve_http
+from repro.server import ACTIONS, API_VERSION, OPERATIONS, SystemDServer, serve_http
 
 
 @pytest.fixture(scope="module")
@@ -248,20 +248,20 @@ class TestScenariosRoute:
             },
         )
         for i in range(3):  # tracked scenarios accrue via track_as on analyses
+            params = {
+                "perturbations": {"Open Marketing Email": 10.0 * (i + 1)},
+                "track_as": f"option-{i}",
+            }
             status, _, envelope = call(
                 base_url,
                 "POST",
-                "/",
-                {
-                    "action": "sensitivity",
-                    "session_id": sid,
-                    "params": {
-                        "perturbations": {"Open Marketing Email": 10.0 * (i + 1)},
-                        "track_as": f"option-{i}",
-                    },
-                },
+                f"/api/v1/sessions/{sid}/jobs",
+                {"action": "sensitivity", "params": params},
             )
-            assert envelope["ok"], envelope
+            assert status == 201, envelope
+            job = f"/api/v1/sessions/{sid}/jobs/{envelope['data']['job']['job_id']}"
+            status, _, envelope = call(base_url, "GET", f"{job}?result=1&wait=1")
+            assert status == 200, envelope
         status, _, envelope = call(
             base_url, "GET", f"/api/v1/sessions/{sid}/scenarios?limit=2&offset=1"
         )
@@ -279,7 +279,7 @@ class TestScenariosRoute:
 
 class TestMetricsRoute:
     def test_metrics_default_is_prometheus_text(self, base_url):
-        call(base_url, "POST", "/", {"action": "list_use_cases"})  # record one request
+        call(base_url, "GET", "/api/v1/use-cases")  # record one request
         request = urllib.request.Request(base_url + "/api/v1/metrics")
         with urllib.request.urlopen(request, timeout=60.0) as response:
             assert response.status == 200
@@ -302,41 +302,6 @@ class TestMetricsRoute:
         assert "repro_requests_total" in envelope["data"]["metrics"]
 
 
-class TestLegacySurface:
-    def test_bare_post_still_dispatches_with_versioned_envelope(self, base_url):
-        status, headers, envelope = call(
-            base_url, "POST", "/", {"action": "list_use_cases"}
-        )
-        assert status == 200
-        assert envelope["ok"]
-        assert envelope["api_version"] == API_VERSION
-        assert headers["X-Repro-Api-Version"] == API_VERSION
-        assert "error_kind" not in envelope  # success envelopes stay lean
-
-    def test_bare_post_handler_failure_stays_200_with_kind(self, base_url):
-        status, _, envelope = call(
-            base_url, "POST", "/", {"action": "load_use_case", "params": {}}
-        )
-        assert status == 200
-        assert not envelope["ok"]
-        assert envelope["error_kind"] == "protocol"
-
-    def test_bare_post_unknown_session_reports_not_found_kind(self, base_url):
-        status, _, envelope = call(
-            base_url,
-            "POST",
-            "/",
-            {"action": "describe_dataset", "session_id": "missing"},
-        )
-        assert status == 200  # legacy surface: errors ride inside the envelope
-        assert envelope["error_kind"] == "not_found"
-        assert "unknown session" in envelope["error"]
-
-    def test_non_api_get_is_still_405(self, base_url):
-        status, _, envelope = call(base_url, "GET", "/anything")
-        assert status == 405
-        assert not envelope["ok"]
-
 class TestVersionsRoutes:
     @pytest.fixture(scope="class")
     def session_id(self, base_url):
@@ -345,16 +310,9 @@ class TestVersionsRoutes:
         assert status == 201
         status, _, envelope = call(
             base_url,
-            "POST",
-            "/",
-            {
-                "action": "load_use_case",
-                "session_id": sid,
-                "params": {
-                    "use_case": "deal_closing",
-                    "dataset_kwargs": {"n_prospects": 60},
-                },
-            },
+            "PUT",
+            f"/api/v1/sessions/{sid}/dataset",
+            {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": 60}},
         )
         assert status == 200 and envelope["ok"]
         return sid
@@ -454,32 +412,14 @@ class TestPersistenceRoute:
 
 
 class TestDeprecationStage2:
-    def test_bare_post_carries_notice_field_and_warning_header(self, base_url):
-        status, headers, envelope = call(
-            base_url, "POST", "/", {"action": "list_use_cases"}
-        )
-        assert status == 200
-        assert envelope["deprecation"].startswith("the bare-POST protocol is deprecated")
-        assert headers["Warning"].startswith('299 - "')
-
-    def test_bare_post_errors_carry_the_notice_too(self, base_url):
-        status, headers, envelope = call(base_url, "POST", "/", {"nonsense": True})
-        assert status == 400
-        assert "deprecation" in envelope
-        assert "Warning" in headers
+    """The retired bare-POST surface's notice never reached ``/api/v1``
+    envelopes, which stay as they were; list routes page uniformly."""
 
     def test_api_v1_responses_never_carry_the_notice(self, base_url):
         status, headers, envelope = call(base_url, "GET", "/api/v1/sessions")
         assert status == 200
         assert "deprecation" not in envelope
         assert "Warning" not in headers
-
-    def test_v1_only_action_is_rejected_over_bare_post(self, base_url):
-        for action in ("create_version", "list_versions", "resolve_share", "persist_stats"):
-            status, _, envelope = call(base_url, "POST", "/", {"action": action})
-            assert status == 400, action
-            assert "/api/v1" in envelope["error"]
-            assert envelope["error_kind"] == "protocol"
 
     def test_sessions_listing_pages_uniformly(self, base_url):
         for sid in ("paging-a", "paging-b"):
@@ -500,3 +440,140 @@ class TestDeprecationStage2:
             page["data"]["sessions"][0]["session_id"]
             == full["data"]["sessions"][1]["session_id"]
         )
+
+
+SWEEP_SPACE = {"axes": [{"driver": "Call", "amounts": [0, 20]}]}
+LOAD = {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": 80}}
+
+
+class TestRouteMatrix:
+    """The view, stats and sweep routes: status, the same ``data`` as the
+    in-process dispatcher for the same parameters, and 404 for an unknown
+    session."""
+
+    SID = "matrix"
+
+    @pytest.fixture(scope="class")
+    def backend(self, httpd, base_url):
+        status, _, envelope = call(base_url, "POST", "/api/v1/sessions", {"session_id": self.SID})
+        assert status == 201, envelope
+        status, _, envelope = call(base_url, "PUT", f"/api/v1/sessions/{self.SID}/dataset", LOAD)
+        assert status == 200, envelope
+        return httpd.backend
+
+    def route(self, base_url, method, path, body=None, status=200):
+        """Call a route on the matrix session; return its ``data``."""
+        code, _, envelope = call(base_url, method, path.format(sid=self.SID), body)
+        assert code == status, envelope
+        return envelope["data"]
+
+    def test_list_use_cases(self, backend, base_url):
+        data = self.route(base_url, "GET", "/api/v1/use-cases")
+        assert data == backend.request("list_use_cases").data
+
+    def test_list_use_cases_creates_no_session(self):
+        # server-scoped: a catalogue read materialises no default session
+        server = SystemDServer()
+        assert server.request("list_use_cases").ok
+        assert len(server.registry) == 0
+
+    def test_load_use_case(self, backend, base_url):
+        load = {**LOAD, "max_rows": 3}
+        data = self.route(base_url, "PUT", "/api/v1/sessions/{sid}/dataset", load)
+        assert len(data["table"]["rows"]) == 3
+        assert data == backend.request("load_use_case", load, session_id=self.SID).data
+
+    def test_describe_dataset(self, backend, base_url):
+        data = self.route(base_url, "GET", "/api/v1/sessions/{sid}/dataset")
+        assert data["shape"][0] == 80
+        assert data == backend.request("describe_dataset", session_id=self.SID).data
+
+    def test_set_kpi(self, backend, base_url):
+        body = {"kpi": "Deal Closed?"}
+        data = self.route(base_url, "PUT", "/api/v1/sessions/{sid}/kpi", body)
+        assert data == backend.request("set_kpi", body, session_id=self.SID).data
+
+    def test_set_drivers(self, backend, base_url):
+        body = {"drivers": ["Call", "Renewal"]}
+        data = self.route(base_url, "PUT", "/api/v1/sessions/{sid}/drivers", body)
+        assert data["drivers"] == ["Call", "Renewal"]
+        assert data == backend.request("set_drivers", body, session_id=self.SID).data
+
+    def test_server_stats(self, backend, base_url):
+        data = self.route(base_url, "GET", "/api/v1/stats")
+        reference = backend.request("server_stats").data
+        assert set(data) == set(reference)
+        assert data["registry"] == reference["registry"]
+
+    def test_sweep_then_sweep_result(self, backend, base_url):
+        body = {"space": SWEEP_SPACE}
+        queued = self.route(base_url, "POST", "/api/v1/sessions/{sid}/sweeps", body, 201)
+        reference = backend.request("sweep", body, session_id=self.SID).data
+        assert queued["space_hash"] == reference["space_hash"]
+        assert queued["space_size"] == reference["space_size"]
+        assert queued["job"]["action"] == "run_sweep"
+        space_hash = queued["space_hash"]
+        data = self.route(base_url, "GET", f"/api/v1/sessions/{{sid}}/sweeps/{space_hash}")
+        assert data["job"]["state"] == "done"
+        fetched = backend.request("sweep_result", session_id=self.SID, space_hash=space_hash)
+        assert data == fetched.data
+
+    def test_sweep_result_ignores_a_job_id_from_another_session(self, backend, base_url):
+        other = backend.request("submit", {"action": "per_data"}).data["job"]["job_id"]
+        body = {"space": SWEEP_SPACE}
+        queued = self.route(base_url, "POST", "/api/v1/sessions/{sid}/sweeps", body, 201)
+        path = f"/api/v1/sessions/{{sid}}/sweeps/{queued['space_hash']}?job_id={other}"
+        data = self.route(base_url, "GET", path)
+        assert data["job"]["session_id"] == self.SID
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("PUT", "/dataset", {"use_case": "deal_closing"}),
+            ("GET", "/dataset", None),
+            ("PUT", "/kpi", {"kpi": "Deal Closed?"}),
+            ("PUT", "/drivers", {"drivers": ["Call"]}),
+            ("POST", "/sweeps", {"space": SWEEP_SPACE}),
+            ("GET", "/sweeps/0123abcd", None),
+        ],
+    )
+    def test_unknown_session_is_404(self, base_url, method, path, body):
+        status, _, envelope = call(base_url, method, f"/api/v1/sessions/ghost{path}", body)
+        assert status == 404, envelope
+        assert envelope["error_kind"] == "not_found"
+        assert "no route" not in envelope["error"]  # the route matched; the session did not
+
+
+def test_every_action_is_reachable_over_http(httpd, base_url):
+    """Each action is reached through its own route, through ``POST
+    .../jobs`` when it is job-able, or — ``metrics`` — through the metrics
+    route; the request log (or the job snapshot) names the action reached."""
+    backend = httpd.backend
+    sid = "reach"
+    created = backend.request("create_session", LOAD, session_id=sid)
+    assert created.ok, created.error
+    sweep = backend.request("sweep", session_id=sid, space=SWEEP_SPACE).data
+    ids = {
+        "sid": sid,
+        "jid": sweep["job"]["job_id"],
+        "share_id": created.data["share_id"],
+        "space_hash": sweep["space_hash"],
+    }
+    jobs = f"/api/v1/sessions/{sid}/jobs"
+    by_action = {op.action: op for op in OPERATIONS}
+    # the session and its job are deleted last, once nothing else needs them
+    for action in sorted(ACTIONS, key=lambda a: by_action[a].route.startswith("DELETE")):
+        op = by_action[action]
+        if op.route:
+            method, target = op.route.split(" ", 1)
+            status, _, envelope = call(base_url, method, target.format(**ids))
+            assert backend.request_log[-1]["action"] == action, (op.route, envelope)
+        elif op.job:
+            status, _, envelope = call(base_url, "POST", jobs, {"action": action})
+            assert status == 201, envelope
+            assert envelope["data"]["job"]["action"] == action
+            call(base_url, "DELETE", f"{jobs}/{envelope['data']['job']['job_id']}")
+        else:
+            assert action == "metrics", f"{action} has no route and is no job"
+            status, _, envelope = call(base_url, "GET", "/api/v1/metrics?format=json")
+            assert status == 200 and backend.request_log[-1]["action"] == "metrics"

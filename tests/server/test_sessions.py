@@ -79,9 +79,7 @@ class TestSessionActions:
     def test_session_id_in_params_also_routes(self):
         server = SystemDServer()
         sid = _create(server)
-        response = server.handle(
-            {"action": "describe_dataset", "params": {"session_id": sid}}
-        )
+        response = server.request("describe_dataset", {"session_id": sid})
         assert response.ok
         assert response.session_id == sid
 

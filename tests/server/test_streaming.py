@@ -10,11 +10,15 @@ The acceptance bar for the streaming subsystem, asserted here:
 * ``?cancel_on_disconnect=1`` transitions the job to ``cancelled`` when the
   client vanishes — under both the thread and the process executor;
 * the ``done`` event's embedded result is bitwise-identical to the polled
-  ``job_result`` payload.
+  ``job_result`` payload;
+* a finished job whose bus channel is gone (evicted LRU, or restored from
+  durable state after a restart) still streams its terminal event and ends.
 """
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import threading
 import time
@@ -27,7 +31,9 @@ import repro.scenarios.planner as planner
 import repro.server.app as app_module
 from repro.core.model_manager import ModelManager
 from repro.server import DEFAULT_SESSION_ID, serve_http
-from repro.server.stream import StreamClient, StreamError
+from repro.server.stream import StreamClient, StreamError, parse_sse
+
+SESSION = f"/api/v1/sessions/{DEFAULT_SESSION_ID}"
 
 SPACE = {
     "axes": [
@@ -58,25 +64,38 @@ def stop_http(httpd):
     httpd.server_close()
 
 
-def post(httpd, payload: dict, timeout: float = 120.0) -> dict:
+def call(httpd, method: str, path: str, body: dict | None = None, timeout=120.0) -> dict:
+    """One ``/api/v1`` round trip; returns the decoded envelope (2xx only)."""
     host, port = httpd.server_address[:2]
     request = urllib.request.Request(
-        f"http://{host}:{port}/",
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
+        f"http://{host}:{port}{path}",
+        data=None if body is None else json.dumps(body).encode("utf-8"),
+        method=method,
     )
     with urllib.request.urlopen(request, timeout=timeout) as response:
         return json.loads(response.read())
 
 
+def load(httpd, rows: int) -> None:
+    body = {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": rows}}
+    envelope = call(httpd, "PUT", f"{SESSION}/dataset", body)
+    assert envelope["ok"], envelope["error"]
+
+
 def submit_sweep(httpd, space=SPACE) -> str:
-    envelope = post(httpd, {"action": "sweep", "params": {"space": space}})
+    envelope = call(httpd, "POST", f"{SESSION}/sweeps", {"space": space})
     assert envelope["ok"], envelope["error"]
     return envelope["data"]["job"]["job_id"]
 
 
+def job_result(httpd, job_id: str) -> dict:
+    envelope = call(httpd, "GET", f"{SESSION}/jobs/{job_id}?result=1&timeout_s=60")
+    assert envelope["ok"], envelope["error"]
+    return envelope["data"]["result"]
+
+
 def job_state(httpd, job_id: str) -> str:
-    envelope = post(httpd, {"action": "job_status", "params": {"job_id": job_id}})
+    envelope = call(httpd, "GET", f"{SESSION}/jobs/{job_id}")
     assert envelope["ok"], envelope["error"]
     return envelope["data"]["job"]["state"]
 
@@ -99,14 +118,7 @@ def make_client(httpd, **kwargs) -> StreamClient:
 @pytest.fixture(scope="module")
 def thread_httpd():
     httpd = start_http(workers=2)
-    envelope = post(
-        httpd,
-        {
-            "action": "load_use_case",
-            "params": {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": 80}},
-        },
-    )
-    assert envelope["ok"], envelope["error"]
+    load(httpd, 80)
     yield httpd
     stop_http(httpd)
 
@@ -200,12 +212,7 @@ class TestLiveStreaming:
         events = list(make_client(thread_httpd).stream_job(DEFAULT_SESSION_ID, job_id))
         assert events[-1].type == "done"
         streamed = events[-1].payload["result"]
-        envelope = post(
-            thread_httpd,
-            {"action": "job_result", "params": {"job_id": job_id, "timeout_s": 60}},
-        )
-        assert envelope["ok"], envelope["error"]
-        polled = envelope["data"]["result"]
+        polled = job_result(thread_httpd, job_id)
         assert json.dumps(streamed, sort_keys=True) == json.dumps(polled, sort_keys=True)
 
     def test_resume_from_last_event_id_misses_and_duplicates_nothing(
@@ -246,7 +253,7 @@ class TestStreamErrors:
 
     def test_stream_from_wrong_session_is_404(self, thread_httpd, chunked):
         job_id = submit_sweep(thread_httpd)
-        post(thread_httpd, {"action": "create_session", "params": {"session_id": "bystander"}})
+        call(thread_httpd, "POST", "/api/v1/sessions", {"session_id": "bystander"})
         with pytest.raises(StreamError) as excinfo:
             next(iter(make_client(thread_httpd).stream_job("bystander", job_id)))
         assert excinfo.value.status == 404
@@ -282,17 +289,7 @@ class TestCancelOnDisconnect:
         monkeypatch.setattr(app_module, "SSE_KEEPALIVE_S", 0.1)
         httpd = start_http(workers=4, executor="process")
         try:
-            envelope = post(
-                httpd,
-                {
-                    "action": "load_use_case",
-                    "params": {
-                        "use_case": "deal_closing",
-                        "dataset_kwargs": {"n_prospects": 2000},
-                    },
-                },
-            )
-            assert envelope["ok"], envelope["error"]
+            load(httpd, 2000)
             job_id = submit_sweep(httpd, space=BIG_SPACE)
             client = make_client(httpd)
             for event in client.stream_job(
@@ -303,3 +300,80 @@ class TestCancelOnDisconnect:
             assert wait_terminal(httpd, job_id, timeout=60.0) == "cancelled"
         finally:
             stop_http(httpd)
+
+
+def finished_job(httpd, amount: float) -> tuple[str, dict]:
+    """Run one sensitivity job to completion; return its id and result."""
+    body = {"action": "sensitivity", "params": {"perturbations": {"Call": amount}}}
+    job_id = call(httpd, "POST", f"{SESSION}/jobs", body)["data"]["job"]["job_id"]
+    return job_id, job_result(httpd, job_id)
+
+
+def read_stream(httpd, job_id: str, deadline_s: float) -> tuple[bytes, float | None]:
+    """A job's raw SSE stream, read until the server ends it or
+    ``deadline_s`` passes; returns the body and the seconds the server took
+    to end it (``None`` when it was still open at the deadline)."""
+    host, port = httpd.server_address[:2]
+    connection = http.client.HTTPConnection(host, port, timeout=deadline_s)
+    started = time.monotonic()
+    chunks = []
+    try:
+        connection.request("GET", f"{SESSION}/jobs/{job_id}/events")
+        response = connection.getresponse()
+        assert response.status == 200
+        while time.monotonic() - started < deadline_s:
+            try:
+                chunk = response.read1(65536)
+            except TimeoutError:
+                break
+            if not chunk:
+                return b"".join(chunks), time.monotonic() - started
+            chunks.append(chunk)
+        return b"".join(chunks), None
+    finally:
+        connection.close()
+
+
+def assert_ends_with_result(httpd, job_id: str, result: dict) -> None:
+    """The stream ends within one keepalive interval on a ``done`` event
+    carrying ``result``, and leaves the bus within its channel bound."""
+    body, ended_after = read_stream(httpd, job_id, deadline_s=3 * app_module.SSE_KEEPALIVE_S)
+    assert ended_after is not None, f"stream still open: {body[-200:]!r}"
+    assert ended_after < app_module.SSE_KEEPALIVE_S
+    events = list(parse_sse(io.StringIO(body.decode("utf-8"))))
+    assert events and events[-1].type == "done"
+    assert json.dumps(events[-1].payload["result"], sort_keys=True) == json.dumps(
+        result, sort_keys=True
+    )
+    bus = httpd.backend.engine.events.stats()
+    assert bus["channels"] <= bus["max_channels"]
+
+
+class TestFinishedJobWithoutChannel:
+    def test_evicted_channel_replays_the_terminal_event(self):
+        httpd = start_http(workers=1)
+        try:
+            load(httpd, 80)
+            httpd.backend.engine.events.max_channels = 2  # the store keeps 256
+            job_id, result = finished_job(httpd, 10.0)
+            finished_job(httpd, 20.0)
+            finished_job(httpd, 30.0)
+            assert httpd.backend.engine.events.stats()["evicted_channels"] == 1
+            assert_ends_with_result(httpd, job_id, result)
+        finally:
+            stop_http(httpd)
+
+    def test_job_restored_after_a_restart_replays_the_terminal_event(self, tmp_path):
+        first = start_http(workers=1, state_dir=str(tmp_path))
+        try:
+            load(first, 80)
+            job_id, result = finished_job(first, 10.0)
+        finally:
+            stop_http(first)
+        second = start_http(workers=1, state_dir=str(tmp_path))
+        try:
+            assert second.backend.engine.store.stats()["restored_total"] == 1
+            assert job_result(second, job_id) == result
+            assert_ends_with_result(second, job_id, result)
+        finally:
+            stop_http(second)

@@ -115,46 +115,6 @@ class TestCommands:
         payload = json.loads(capsys.readouterr().out)
         assert "s" in payload["results"]
 
-    def test_bench_sessions_json_output(self, capsys):
-        exit_code = main(
-            [
-                "bench-sessions",
-                "--use-case", "deal_closing",
-                "--rows", "150",
-                "--sessions", "2",
-                "--requests", "2",
-                "--json",
-            ]
-        )
-        assert exit_code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["sessions"] == 2
-        assert payload["requests"] == 4
-        assert payload["failures"] == 0
-        # both sessions analyse the same configuration: one model fit total
-        assert payload["models_trained"] == 1
-        assert payload["cache_hits"] >= 1
-
-    def test_bench_engine_json_output(self, capsys):
-        exit_code = main(
-            [
-                "bench-engine",
-                "--use-case", "deal_closing",
-                "--rows", "150",
-                "--jobs", "2",
-                "--workers", "2",
-                "--amounts", "4",
-                "--json",
-            ]
-        )
-        assert exit_code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n_jobs"] == 2
-        assert payload["workers"] == 2
-        assert payload["bitwise_equal"] is True
-        assert payload["coalescing"]["distinct_jobs"] == 1
-        assert payload["speedup"] > 0
-
     def test_jobs_command_against_http_backend(self, capsys):
         import threading
 
@@ -186,7 +146,17 @@ class TestCommands:
             assert main(
                 ["jobs", "--host", str(host), "--port", str(port), "--status", job_id]
             ) == 0
-            assert job_id in capsys.readouterr().out
+            output = capsys.readouterr().out
+            assert job_id in output
+            # the job's span tree renders under its row
+            assert "request  [action=submit]" in output
+            assert "job  [" in output
+
+            other = backend.request("create_session", session_id="elsewhere")
+            assert other.ok, other.error
+            args = ["jobs", "--host", str(host), "--port", str(port), "--json"]
+            assert main([*args, "--session", "elsewhere"]) == 0
+            assert json.loads(capsys.readouterr().out)["jobs"] == []
 
             assert main(
                 ["jobs", "--host", str(host), "--port", str(port), "--status", "j-missing"]
