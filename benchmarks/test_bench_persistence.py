@@ -6,18 +6,23 @@ ledger event.  The paper's interactivity requirement means durability must be
 effectively free at interaction rates, so this benchmark holds two invariants
 the regression gate keeps forever:
 
-* ``overhead_ok`` — sustained job throughput (submit through drained
-  result, so every journaling write on the path — pending record, terminal
-  snapshot, retention bookkeeping — lands inside the timed window) with a
-  SQLite (WAL) backend is within :data:`OVERHEAD_BUDGET_PCT` (10%) of the
-  in-memory backend's.  The design is paired: each round times one batch on
-  each backend back-to-back (alternating which goes first), and the gate is
-  the *median of the per-round paired overheads* — pairing cancels
-  machine-load drift that an absolute min-of-N cannot, and the median
-  shrugs off a slow outlier round.  An over-budget verdict is re-measured
-  (up to :data:`MAX_BATCHES`, keeping every round) before it may fail.
-* ``replay_bitwise`` — a 10k-event scenario ledger journaled through the
-  SQLite backend replays into a fresh manager bitwise-identical to the
+* ``overhead_ok`` — job throughput (submit through result, so every
+  journaling write on the job's path — pending record at submit, terminal
+  snapshot before the done event — lands inside the timed window) with the
+  durable store (``open_backend(dir)``, a WAL-mode file) is within
+  :data:`OVERHEAD_BUDGET_PCT` (10%) of the default in-memory store's
+  (``open_backend(None)``).  The design is paired and interleaved: each
+  round times :data:`SUBMITS_PER_BATCH` round trips per store, the stores
+  alternating job by job, and the gate is the *median of the per-round
+  paired overheads*.  Interleaving at one job (a few ms) puts a burst of
+  machine load on both stores alike, where batch-sized turns let it land
+  on one; the median shrugs off a slow outlier round.  The cyclic garbage
+  collector runs between rounds and is paused inside them: its pauses are
+  tens of ms, and allocation is deterministic, so they land on the same
+  store in every run.  An over-budget verdict is re-measured (up to
+  :data:`MAX_BATCHES`, keeping every round) before it may fail.
+* ``replay_bitwise`` — a 10k-event scenario ledger journaled through a
+  durable store replays into a fresh manager bitwise-identical to the
   journaled events.  Replay speed is reported (``replay_events_per_s``) but
   informational: wall clock on shared runners is noise, correctness is not.
 
@@ -27,6 +32,7 @@ Results land in ``BENCH_persistence.json`` (override via
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import tempfile
@@ -34,7 +40,7 @@ import time
 from pathlib import Path
 
 from repro.core.scenario import Scenario, ScenarioManager
-from repro.persist import MemoryBackend, SqliteBackend
+from repro.persist import StateBackend, open_backend
 from repro.server import SystemDServer
 
 from .conftest import print_table
@@ -65,48 +71,46 @@ def make_server(backend) -> SystemDServer:
     return server
 
 
-def submit_batch_s(server: SystemDServer, salt: int) -> float:
-    """Seconds to submit one batch of distinct sensitivity jobs and drain
-    every result.
+def job_round_trip_s(server: SystemDServer, amount: float) -> float:
+    """Seconds from submitting one sensitivity job to holding its result.
 
-    Timing through the drain keeps the whole journaling path — pending
-    record at submit, terminal snapshot before the done event, retention
-    re-journal — inside the measured window; timing the enqueue loop alone
-    races it against the workers' concurrent terminal writes, which is pure
-    scheduler jitter.  Distinct perturbation amounts keep submissions from
-    coalescing onto one job.
+    Distinct perturbation amounts keep submissions from coalescing onto one
+    job.
     """
     start = time.perf_counter()
-    job_ids = []
-    for i in range(SUBMITS_PER_BATCH):
-        response = server.request(
-            "submit",
-            params={
-                "action": "sensitivity",
-                "params": {
-                    "perturbations": {DRIVER: 1.0 + salt + i / 100.0},
-                },
-            },
-        )
-        assert response.ok, response.error
-        job_ids.append(response.data["job"]["job_id"])
-    for job_id in job_ids:
-        done = server.request("job_result", job_id=job_id, wait=True, timeout_s=120)
-        assert done.ok, done.error
+    response = server.request(
+        "submit",
+        params={"action": "sensitivity", "params": {"perturbations": {DRIVER: amount}}},
+    )
+    assert response.ok, response.error
+    job_id = response.data["job"]["job_id"]
+    done = server.request("job_result", job_id=job_id, wait=True, timeout_s=120)
+    assert done.ok, done.error
     return time.perf_counter() - start
+
+
+def measure_round(servers: dict[str, SystemDServer], salt: int, first: int) -> dict[str, float]:
+    """Seconds each store spent on :data:`SUBMITS_PER_BATCH` round trips,
+    the stores alternating job by job (``first`` picks who opens)."""
+    totals = dict.fromkeys(servers, 0.0)
+    arms = list(servers.items())
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(SUBMITS_PER_BATCH):
+            for kind, server in arms if (first + i) % 2 == 0 else reversed(arms):
+                totals[kind] += job_round_trip_s(server, 1.0 + salt + i / 100.0)
+    finally:
+        gc.enable()
+    return totals
 
 
 def measure_rounds(servers: dict[str, SystemDServer], samples: dict[str, list[float]],
                    salt: int) -> None:
     for round_index in range(ROUNDS):
-        # pair the arms back-to-back each round (alternating which goes
-        # first) so machine-load drift and ordering effects cancel in the
-        # per-round overhead ratio
-        arms = list(servers.items())
-        for kind, server in arms if round_index % 2 == 0 else reversed(arms):
-            samples[kind].append(
-                submit_batch_s(server, salt + round_index * SUBMITS_PER_BATCH)
-            )
+        totals = measure_round(servers, salt + round_index * SUBMITS_PER_BATCH, round_index)
+        for kind, seconds in totals.items():
+            samples[kind].append(seconds)
 
 
 def median(values: list[float]) -> float:
@@ -119,13 +123,12 @@ def median(values: list[float]) -> float:
 
 def bench_submit_overhead(tmp_dir: Path) -> dict:
     servers = {
-        "memory": make_server(MemoryBackend()),
-        "sqlite": make_server(SqliteBackend(tmp_dir / "bench-state.sqlite3")),
+        "memory": make_server(open_backend(None)),
+        "sqlite": make_server(open_backend(tmp_dir / "bench-state")),
     }
     samples: dict[str, list[float]] = {"memory": [], "sqlite": []}
     try:
-        for server in servers.values():
-            submit_batch_s(server, 100_000)  # warm the engine + model caches
+        measure_round(servers, 100_000, 0)  # warm the engine + model caches
         batches = 0
         while True:
             measure_rounds(servers, samples, salt=1_000_000 * (batches + 1))
@@ -152,7 +155,7 @@ def bench_submit_overhead(tmp_dir: Path) -> dict:
 
 
 def bench_ledger_replay(tmp_dir: Path) -> dict:
-    backend = SqliteBackend(tmp_dir / "bench-ledger.sqlite3")
+    backend = StateBackend(tmp_dir / "bench-ledger.sqlite3")
     try:
         manager = ScenarioManager()
         manager.bind_backend(backend, "bench-ledger")

@@ -104,10 +104,10 @@ class ScenarioManager:
     """Ledger of scenarios explored during a what-if session.
 
     The ledger is the session's authoritative append-only event log.  When a
-    durable :class:`~repro.persist.StateBackend` is bound (server sessions
-    under ``--state-dir``), every append and clear is journaled through it
-    so the ledger can be replayed bitwise after a restart; unbound managers
-    (library use, tests) behave exactly as before.
+    :class:`~repro.persist.StateBackend` is bound (every server session),
+    every append and clear is journaled through it, so a durable store can
+    replay the ledger bitwise after a restart; unbound managers (library
+    use, tests) keep the ledger in memory only.
     """
 
     #: Attributes whose mutations must flow through a persistence hook —

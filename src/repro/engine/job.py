@@ -108,7 +108,8 @@ class Job:
     #: Terminal-journal hook bound by the :class:`~repro.engine.store.JobStore`
     #: at registration.  It runs on the terminal transition *before* the done
     #: event releases result waiters — the crash-safety ordering ``job_result``
-    #: relies on: once a client observes a result, its durable record exists.
+    #: relies on: once a waiter observes a result, its durable record exists
+    #: (a hook that raises fails the job instead).
     journal: Callable[["Job"], None] | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _cancel_event: threading.Event = field(default_factory=threading.Event, repr=False)
@@ -193,13 +194,21 @@ class Job:
         already-terminal check.  The ordering is the durable store's
         crash-safety contract: by the time a ``job_result`` wait returns,
         the result-bearing record has been journaled, so a crash right
-        after the client sees the result cannot lose it.  The done event is
-        set even when journaling fails — a persistence error must never
+        after the client sees the result cannot lose it.  A journal write
+        that raises turns the job ``failed`` and drops its result: the
+        journal still holds the ``pending`` record, which a restart re-marks
+        ``failed`` too, so no waiter is handed a result the journal lacks.
+        The done event is set either way — a persistence error must never
         leave waiters blocked.
         """
         try:
             if self.journal is not None:
                 self.journal(self)
+        except Exception as exc:  # noqa: BLE001 - whatever the write raised, it was lost
+            with self._lock:
+                self.state = FAILED
+                self.result = None
+                self.error = f"journal write failed: {type(exc).__name__}: {exc}"
         finally:
             self._done_event.set()
 

@@ -23,7 +23,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Iterable
 
-from ..persist import JOB_INTERRUPTED_REASON, MemoryBackend, StateBackend
+from ..persist import JOB_INTERRUPTED_REASON, StateBackend
 from .job import Job
 
 __all__ = ["JobStore", "UnknownJobError"]
@@ -40,8 +40,7 @@ class JobStore:
     — a light ``pending`` record at registration, the full result-bearing
     snapshot at the terminal transition — so ``job_result`` payloads survive
     a restart when the backend is durable (:meth:`restore`).  The default
-    :class:`~repro.persist.MemoryBackend` keeps the pre-persistence
-    semantics: records die with the process.
+    in-memory store keeps records only for the life of the process.
 
     Parameters
     ----------
@@ -64,7 +63,7 @@ class JobStore:
         if max_finished < 0:
             raise ValueError("max_finished must be >= 0")
         self.max_finished = max_finished
-        self.backend = backend if backend is not None else MemoryBackend()
+        self.backend = backend if backend is not None else StateBackend()
         self._lock = threading.RLock()
         self._jobs: dict[str, Job] = {}
         self._finished_order: OrderedDict[str, None] = OrderedDict()
@@ -161,7 +160,8 @@ class JobStore:
         Bound as the job's ``journal`` hook at registration, so it runs on
         the terminal transition *before* the done event releases result
         waiters (see ``Job._publish_terminal``): a client that observed a
-        ``job_result`` is guaranteed the record already hit the backend.
+        ``job_result`` is guaranteed the record already hit the backend, and
+        a write that raises turns the job ``failed`` instead.
         """
         with self._lock:
             self.backend.save_job(
@@ -172,22 +172,16 @@ class JobStore:
         """Record that ``job`` reached a terminal state: release its coalesce
         key and enrol it in the bounded finished-retention set.
 
-        The result-bearing snapshot is NOT re-journaled here when the job
-        carries the store's ``journal`` hook — ``Job._publish_terminal``
-        already wrote it before any waiter was released, and the terminal
-        snapshot of a terminal job cannot have changed since.  The write only
-        happens for hook-less jobs (constructed outside ``coalesce_or_add``)
-        so their results are journaled at all.
+        Nothing is journaled here: every tracked job was registered by
+        :meth:`coalesce_or_add`, which binds the ``journal`` hook that
+        ``Job._publish_terminal`` runs before any waiter is released, or was
+        restored already terminal.
         """
         with self._lock:
             if self._inflight.get(job.coalesce_key) == job.job_id:
                 del self._inflight[job.coalesce_key]
             if job.job_id not in self._jobs:
                 return
-            if job.journal is None:
-                self.backend.save_job(
-                    job.job_id, job.state, self._job_record(job, include_result=True)
-                )
             self._finished_order[job.job_id] = None
             self._finished_order.move_to_end(job.job_id)
             while len(self._finished_order) > self.max_finished:

@@ -163,6 +163,13 @@ METRICS = {
         labels=("kind",),
         buckets=LATENCY_MS_BUCKETS,
     ),
+    "repro_persist_failures_total": MetricSpec(
+        "counter",
+        "State-store writes that raised, by record kind "
+        "(session/scenario/version/job); a lost terminal job write fails "
+        "the job.",
+        labels=("kind",),
+    ),
     "repro_persist_records_replayed_total": MetricSpec(
         "counter",
         "Records read back from a durable-state backend during recovery "

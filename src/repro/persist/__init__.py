@@ -1,36 +1,32 @@
-"""Durable state backends (``repro.persist``).
+"""Server state store (``repro.persist``).
 
 The server's three authoritative state stores — the session registry, each
-session's scenario ledger, and the job store's terminal records — can
-persist through a pluggable :class:`StateBackend`.  :class:`MemoryBackend`
-keeps everything process-local (today's behaviour, and the default);
-:class:`SqliteBackend` journals every mutation to a WAL-mode SQLite file so
-a server restart recovers sessions, ledgers, and finished job results
-bitwise-identically (``repro serve --state-dir DIR``).
+session's scenario ledger, and the job store's terminal records — write
+through one :class:`StateBackend`, an SQLite database.  Without a state
+directory it lives in memory and dies with the process; with ``repro serve
+--state-dir DIR`` it is a WAL-mode file, so a server restart recovers
+sessions, ledgers, and finished job results bitwise-identically.
 
 Fitted models are deliberately *not* persisted: they rebuild through the
 fingerprint-keyed :class:`~repro.core.cache.ModelCache` on first touch,
 which keeps recovery cheap and bitwise-reproducible.
 
-See :mod:`repro.persist.backend` for the contract and
-:mod:`repro.persist.sqlite` for the durable implementation.
+See :mod:`repro.persist.backend` for the contract.
 """
 
 from __future__ import annotations
 
 from .backend import (
     JOB_INTERRUPTED_REASON,
-    MemoryBackend,
     PersistenceError,
     StateBackend,
+    open_backend,
+    sqlite_path,
 )
-from .sqlite import SqliteBackend, sqlite_path, open_backend
 
 __all__ = [
     "JOB_INTERRUPTED_REASON",
-    "MemoryBackend",
     "PersistenceError",
-    "SqliteBackend",
     "StateBackend",
     "open_backend",
     "sqlite_path",

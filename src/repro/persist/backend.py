@@ -1,4 +1,4 @@
-"""The durable-state contract and its in-memory reference implementation.
+"""The state store: one SQLite database, on a file or in memory.
 
 A :class:`StateBackend` persists the three authoritative state stores of one
 backend server:
@@ -17,48 +17,92 @@ backend server:
   non-terminal at recovery time are re-marked ``failed`` with
   :data:`JOB_INTERRUPTED_REASON` rather than silently lost.
 
-Every public mutator runs inside the backend's :meth:`~StateBackend.
-transaction` hook and through one instrumented write path (the
-``repro_persist_*`` metrics), so subclasses only implement the raw
-``_write_*`` / ``_read_*`` primitives.  The ``PER001`` check rule enforces
-the caller-side half of the contract: code mutating a ``_PERSISTED_FIELDS``
-attribute must call through a backend/persist hook in the same method.
+:func:`open_backend` picks where the database lives:
 
-:class:`MemoryBackend` is the default and preserves the pre-persistence
-behaviour exactly: state lives only in the process.  It still round-trips
-every record through JSON so both backends expose byte-identical semantics
-(tuples become lists, keys become strings) and one conformance suite covers
-the pair.
+* with ``repro serve --state-dir DIR`` it is one WAL-mode file in ``DIR``
+  (``kind`` ``"sqlite"``, :attr:`~StateBackend.durable`).  ``synchronous=
+  NORMAL`` commits survive process crashes (the crash-recovery test SIGKILLs
+  the server mid-flight); the power-loss window NORMAL accepts is the
+  standard WAL trade;
+* without one it is ``":memory:"`` (``kind`` ``"memory"``, not durable):
+  the same schema and semantics, but the records die with the process.
+
+Design notes:
+
+* One connection, opened with ``check_same_thread=False`` and serialised by
+  an ``RLock``: the server's write rate (a few records per request) is far
+  below where per-thread connections would pay for their complexity, and a
+  single writer sidesteps ``SQLITE_BUSY`` entirely.
+* Every mutation goes through one write path (``_write``): it runs inside
+  :meth:`~StateBackend.transaction` and feeds the ``repro_persist_*``
+  metrics, counting a write that raises in ``repro_persist_failures_total``.
+  The ``PER001`` check rule enforces the caller-side half of the contract:
+  code mutating a ``_PERSISTED_FIELDS`` attribute must call through a
+  backend/persist hook in the same method.
+* Records are stored as JSON text columns keyed by their natural ids, so a
+  loaded record is a fresh, JSON-normal copy (tuples become lists, keys
+  become strings).  The ledger table's ``AUTOINCREMENT`` rowid preserves
+  append order across deletes, which is what makes replay deterministic.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Iterator
+from pathlib import Path
+from typing import Any, Callable, Iterator
 
 from ..obs import metrics
 
 __all__ = [
     "JOB_INTERRUPTED_REASON",
-    "MemoryBackend",
     "PersistenceError",
     "StateBackend",
+    "open_backend",
+    "sqlite_path",
 ]
 
 #: Error string stamped onto jobs found non-terminal during recovery: the
 #: server restarted underneath them and their execution is gone.
 JOB_INTERRUPTED_REASON = "server_restart"
 
-#: Job states that can never change again (mirrors
-#: ``repro.engine.job.TERMINAL_STATES``; duplicated here because importing
-#: the engine package from this layer would be circular).
-_TERMINAL_JOB_STATES = frozenset({"done", "failed", "cancelled"})
+#: File name used inside a ``--state-dir`` directory.
+STATE_FILENAME = "repro-state.sqlite3"
+
+#: The database name SQLite reads as "no file: this connection's memory".
+MEMORY = ":memory:"
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS sessions (
+    session_id TEXT PRIMARY KEY,
+    share_id   TEXT UNIQUE,
+    record     TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS scenarios (
+    seq        INTEGER PRIMARY KEY AUTOINCREMENT,
+    session_id TEXT NOT NULL,
+    record     TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_scenarios_session ON scenarios (session_id);
+CREATE TABLE IF NOT EXISTS versions (
+    session_id TEXT NOT NULL,
+    version_id INTEGER NOT NULL,
+    record     TEXT NOT NULL,
+    PRIMARY KEY (session_id, version_id)
+);
+CREATE TABLE IF NOT EXISTS jobs (
+    job_id TEXT PRIMARY KEY,
+    state  TEXT NOT NULL,
+    record TEXT NOT NULL
+);
+"""
 
 _WRITES = metrics.counter("repro_persist_writes_total")
 _WRITE_LATENCY = metrics.histogram("repro_persist_write_latency_ms")
+_FAILURES = metrics.counter("repro_persist_failures_total")
 _REPLAYED = metrics.counter("repro_persist_records_replayed_total")
 _REPLAY_LATENCY = metrics.histogram("repro_persist_replay_latency_ms")
 
@@ -67,54 +111,110 @@ class PersistenceError(RuntimeError):
     """Raised when a backend cannot read or write its durable store."""
 
 
-def _json_roundtrip(payload: Any) -> Any:
-    """Normalise a record the way a durable store would (tuples → lists,
-    keys → strings), so both backends expose identical semantics."""
-    return json.loads(json.dumps(payload))
+def sqlite_path(state_dir: str | Path) -> Path:
+    """The canonical database path inside a state directory."""
+    return Path(state_dir) / STATE_FILENAME
+
+
+def open_backend(state_dir: str | Path | None) -> "StateBackend":
+    """The store the server/CLI layers use: ``None`` → in memory, a
+    directory → durable (created if missing)."""
+    if state_dir is None:
+        return StateBackend()
+    directory = Path(state_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    return StateBackend(sqlite_path(directory))
+
+
+def _record(row: tuple) -> Any:
+    return json.loads(row[0])
 
 
 class StateBackend:
-    """Abstract durable-state store; see the module docstring for the model.
+    """Sessions, ledgers, versions and job records in one SQLite database.
 
-    Subclasses implement the ``_write_*`` / ``_read_*`` primitives; the
-    public methods defined here wrap every mutation in :meth:`transaction`
-    and the shared write metrics, so instrumentation and transactional
-    discipline cannot be forgotten per-backend.
+    ``path`` is a database file, or :data:`MEMORY` (the default) for a
+    process-local store; see the module docstring.
     """
 
-    #: Human-readable backend kind (``"memory"`` / ``"sqlite"``).
-    kind = "abstract"
-
-    #: Whether records outlive the process.  Callers use this to decide
-    #: eviction policy: a non-durable backend's record is worthless once its
-    #: in-memory twin is evicted (the process *is* the store), while a
-    #: durable backend keeps it for lazy recovery.
-    durable = False
+    def __init__(self, path: str | Path = MEMORY) -> None:
+        #: Whether records outlive the process.  Callers use this to decide
+        #: eviction policy: a non-durable store's record is worthless once
+        #: its in-memory twin is evicted (the process *is* the store), while
+        #: a durable store keeps it for lazy recovery.
+        self.durable = str(path) != MEMORY
+        #: Store identity reported by ``persist_stats``.
+        self.kind = "sqlite" if self.durable else "memory"
+        self.path = Path(path)
+        self._lock = threading.RLock()
+        self._txn_depth = 0
+        try:
+            # autocommit mode (isolation_level=None): transaction boundaries
+            # are explicit BEGIN/COMMIT issued by transaction() below
+            self._conn = sqlite3.connect(str(path), check_same_thread=False, isolation_level=None)
+            if self.durable:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.executescript(_SCHEMA)
+        except sqlite3.Error as exc:
+            raise PersistenceError(f"cannot open state database at {path}: {exc}") from exc
 
     @contextmanager
     def transaction(self) -> Iterator["StateBackend"]:
-        """Atomicity hook: writes inside one ``with backend.transaction():``
-        block commit together.  The in-memory backend is trivially atomic
-        (single process-wide lock); SQLite maps this onto a real
-        ``BEGIN IMMEDIATE`` / ``COMMIT`` pair, reentrantly."""
-        yield self
+        """Writes inside one ``with backend.transaction():`` block commit
+        together.  Reentrant: the outermost entry issues ``BEGIN IMMEDIATE``
+        and its exit commits (or rolls back on error); inner entries nest.
+        A database error surfaces as :class:`PersistenceError`."""
+        with self._lock:
+            outermost = self._txn_depth == 0
+            self._txn_depth += 1
+            try:
+                if outermost:
+                    self._conn.execute("BEGIN IMMEDIATE")
+                yield self
+                if outermost:
+                    self._conn.execute("COMMIT")
+            except BaseException as exc:
+                # a failed COMMIT can leave the transaction open; without the
+                # rollback every later BEGIN on this connection would fail too
+                if outermost and self._conn.in_transaction:
+                    self._conn.execute("ROLLBACK")
+                if isinstance(exc, sqlite3.Error):
+                    raise PersistenceError(f"state database write failed: {exc}") from exc
+                raise
+            finally:
+                self._txn_depth -= 1
 
-    @contextmanager
-    def _timed_write(self, kind: str) -> Iterator[None]:
+    def _write(self, kind: str, *statements: tuple[str, tuple[Any, ...]]) -> None:
+        """The one write path: run ``(sql, params)`` statements in one
+        transaction, counted as one ``kind`` write, or as one failure when
+        anything raises."""
         started = time.perf_counter()
-        yield
+        try:
+            with self.transaction():
+                for sql, params in statements:
+                    self._conn.execute(sql, params)
+        except Exception:
+            _FAILURES.labels(kind).inc()
+            raise
         _WRITES.labels(kind).inc()
         _WRITE_LATENCY.labels(kind).observe((time.perf_counter() - started) * 1000.0)
 
-    @contextmanager
-    def _timed_replay(self, kind: str, count: "list[int]") -> Iterator[None]:
-        """``count`` is a one-slot list the caller fills with the number of
-        records materialised, so the counter reflects records, not calls."""
+    def _select(self, sql: str, *params: Any) -> list[tuple]:
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
+
+    def _replay(
+        self, kind: str, sql: str, *params: Any, decode: Callable[[tuple], Any] = _record
+    ) -> list[Any]:
+        """Decoded rows of a recovery read, counted as replayed ``kind``
+        records (records, not calls)."""
         started = time.perf_counter()
-        yield
-        if count and count[0]:
-            _REPLAYED.labels(kind).inc(count[0])
+        records = [decode(row) for row in self._select(sql, *params)]
+        if records:
+            _REPLAYED.labels(kind).inc(len(records))
         _REPLAY_LATENCY.labels(kind).observe((time.perf_counter() - started) * 1000.0)
+        return records
 
     # ------------------------------------------------------------------ #
     # sessions
@@ -123,52 +223,62 @@ class StateBackend:
         """Insert or replace one session record (keyed by ``session_id``)."""
         if not record.get("session_id"):
             raise PersistenceError("session record must carry a 'session_id'")
-        with self.transaction(), self._timed_write("session"):
-            self._write_session(_json_roundtrip(record))
+        self._write(
+            "session",
+            (
+                "INSERT OR REPLACE INTO sessions (session_id, share_id, record) VALUES (?, ?, ?)",
+                (record["session_id"], record.get("share_id"), json.dumps(record)),
+            ),
+        )
 
     def load_session(self, session_id: str) -> dict[str, Any] | None:
         """The persisted record for ``session_id``, or ``None``."""
-        count = [0]
-        with self._timed_replay("session", count):
-            record = self._read_session(session_id)
-            count[0] = 1 if record is not None else 0
-        return record
+        records = self._replay(
+            "session", "SELECT record FROM sessions WHERE session_id = ?", session_id
+        )
+        return records[0] if records else None
 
     def delete_session(self, session_id: str) -> None:
         """Drop a session record *and* its ledger and versions (cascade)."""
-        with self.transaction(), self._timed_write("session"):
-            self._delete_session(session_id)
-            self._clear_scenarios(session_id)
-            self._delete_versions(session_id)
+        tables = ("sessions", "scenarios", "versions")
+        self._write(
+            "session",
+            *((f"DELETE FROM {table} WHERE session_id = ?", (session_id,)) for table in tables),
+        )
 
     def list_sessions(self) -> list[dict[str, Any]]:
-        """Every persisted session record (unordered; callers sort)."""
-        return self._read_sessions()
+        """Every persisted session record (callers sort)."""
+        return [_record(row) for row in self._select("SELECT record FROM sessions")]
 
     def find_share(self, share_id: str) -> dict[str, Any] | None:
         """Resolve a read-only share id to its session record, or ``None``."""
-        return self._read_share(share_id)
+        rows = self._select("SELECT record FROM sessions WHERE share_id = ?", share_id)
+        return _record(rows[0]) if rows else None
 
     # ------------------------------------------------------------------ #
     # scenario ledgers
     # ------------------------------------------------------------------ #
     def append_scenario(self, session_id: str, payload: dict[str, Any]) -> None:
         """Append one scenario event to a session's ledger."""
-        with self.transaction(), self._timed_write("scenario"):
-            self._append_scenario(session_id, _json_roundtrip(payload))
+        self._write(
+            "scenario",
+            (
+                "INSERT INTO scenarios (session_id, record) VALUES (?, ?)",
+                (session_id, json.dumps(payload)),
+            ),
+        )
 
     def load_scenarios(self, session_id: str) -> list[dict[str, Any]]:
         """The session's ledger events, in append order."""
-        count = [0]
-        with self._timed_replay("scenario", count):
-            events = self._read_scenarios(session_id)
-            count[0] = len(events)
-        return events
+        return self._replay(
+            "scenario",
+            "SELECT record FROM scenarios WHERE session_id = ? ORDER BY seq",
+            session_id,
+        )
 
     def clear_scenarios(self, session_id: str) -> None:
         """Drop a session's ledger (a fresh ``load_use_case`` starts over)."""
-        with self.transaction(), self._timed_write("scenario"):
-            self._clear_scenarios(session_id)
+        self._write("scenario", ("DELETE FROM scenarios WHERE session_id = ?", (session_id,)))
 
     # ------------------------------------------------------------------ #
     # ledger versions (immutable snapshots)
@@ -177,37 +287,46 @@ class StateBackend:
         """Persist one immutable ledger snapshot (keyed by ``version_id``)."""
         if "version_id" not in record:
             raise PersistenceError("version record must carry a 'version_id'")
-        with self.transaction(), self._timed_write("version"):
-            self._write_version(session_id, _json_roundtrip(record))
+        self._write(
+            "version",
+            (
+                "INSERT OR REPLACE INTO versions (session_id, version_id, record) VALUES (?, ?, ?)",
+                (session_id, int(record["version_id"]), json.dumps(record)),
+            ),
+        )
 
     def load_versions(self, session_id: str) -> list[dict[str, Any]]:
         """A session's versions, oldest first (by ``version_id``)."""
-        count = [0]
-        with self._timed_replay("version", count):
-            records = self._read_versions(session_id)
-            count[0] = len(records)
-        return sorted(records, key=lambda r: r.get("version_id", 0))
+        return self._replay(
+            "version",
+            "SELECT record FROM versions WHERE session_id = ? ORDER BY version_id",
+            session_id,
+        )
 
     # ------------------------------------------------------------------ #
     # job records
     # ------------------------------------------------------------------ #
     def save_job(self, job_id: str, state: str, snapshot: dict[str, Any]) -> None:
         """Insert or replace one job record (its current lifecycle snapshot)."""
-        with self.transaction(), self._timed_write("job"):
-            self._write_job(job_id, state, _json_roundtrip(snapshot))
+        self._write(
+            "job",
+            (
+                "INSERT OR REPLACE INTO jobs (job_id, state, record) VALUES (?, ?, ?)",
+                (job_id, state, json.dumps(snapshot)),
+            ),
+        )
 
     def delete_job(self, job_id: str) -> None:
         """Drop a job record (LRU eviction of its in-memory twin)."""
-        with self.transaction(), self._timed_write("job"):
-            self._delete_job(job_id)
+        self._write("job", ("DELETE FROM jobs WHERE job_id = ?", (job_id,)))
 
     def load_jobs(self) -> list[dict[str, Any]]:
         """Every job record as ``{"job_id", "state", "snapshot"}`` dicts."""
-        count = [0]
-        with self._timed_replay("job", count):
-            records = self._read_jobs()
-            count[0] = len(records)
-        return records
+        return self._replay(
+            "job",
+            "SELECT job_id, state, record FROM jobs ORDER BY job_id",
+            decode=lambda row: {"job_id": row[0], "state": row[1], "snapshot": json.loads(row[2])},
+        )
 
     def mark_interrupted(self, reason: str = JOB_INTERRUPTED_REASON) -> int:
         """Re-mark every non-terminal job record as ``failed(reason)``.
@@ -217,170 +336,40 @@ class StateBackend:
         and silently dropping it would leave clients polling forever.
         Returns the number of records rewritten.
         """
-        rewritten = 0
         with self.transaction():
-            for record in self._read_jobs():
-                if record["state"] in _TERMINAL_JOB_STATES:
-                    continue
-                snapshot = dict(record["snapshot"])
+            rows = self._select(
+                "SELECT job_id, record FROM jobs "
+                "WHERE state NOT IN ('done', 'failed', 'cancelled')"
+            )
+            for job_id, text in rows:
+                snapshot = json.loads(text)
                 snapshot["state"] = "failed"
                 snapshot["error"] = reason
-                with self._timed_write("job"):
-                    self._write_job(record["job_id"], "failed", snapshot)
-                rewritten += 1
-        return rewritten
+                self.save_job(job_id, "failed", snapshot)
+        return len(rows)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> dict[str, Any]:
-        """Row counts and backend identity for ``persist_stats``."""
-        return {"kind": self.kind, **self._counts()}
+        """Store identity and row counts for ``persist_stats``; ``path``
+        only when the store is durable."""
+        with self._lock:
+            sessions, scenario_events, versions, jobs = (
+                self._select(f"SELECT COUNT(*) FROM {table}")[0][0]  # noqa: S608 - fixed names
+                for table in ("sessions", "scenarios", "versions", "jobs")
+            )
+        stats = {
+            "kind": self.kind,
+            "sessions": sessions,
+            "scenario_events": scenario_events,
+            "versions": versions,
+            "jobs": jobs,
+            "durable": self.durable,
+        }
+        if self.durable:
+            stats["path"] = str(self.path)
+        return stats
 
     def close(self) -> None:
-        """Release any underlying resources (idempotent)."""
-
-    # ------------------------------------------------------------------ #
-    # storage primitives (subclass responsibility)
-    # ------------------------------------------------------------------ #
-    def _write_session(self, record: dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def _read_session(self, session_id: str) -> dict[str, Any] | None:
-        raise NotImplementedError
-
-    def _delete_session(self, session_id: str) -> None:
-        raise NotImplementedError
-
-    def _read_sessions(self) -> list[dict[str, Any]]:
-        raise NotImplementedError
-
-    def _read_share(self, share_id: str) -> dict[str, Any] | None:
-        raise NotImplementedError
-
-    def _append_scenario(self, session_id: str, payload: dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def _read_scenarios(self, session_id: str) -> list[dict[str, Any]]:
-        raise NotImplementedError
-
-    def _clear_scenarios(self, session_id: str) -> None:
-        raise NotImplementedError
-
-    def _write_version(self, session_id: str, record: dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def _read_versions(self, session_id: str) -> list[dict[str, Any]]:
-        raise NotImplementedError
-
-    def _delete_versions(self, session_id: str) -> None:
-        raise NotImplementedError
-
-    def _write_job(self, job_id: str, state: str, snapshot: dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def _delete_job(self, job_id: str) -> None:
-        raise NotImplementedError
-
-    def _read_jobs(self) -> list[dict[str, Any]]:
-        raise NotImplementedError
-
-    def _counts(self) -> dict[str, Any]:
-        raise NotImplementedError
-
-
-class MemoryBackend(StateBackend):
-    """Process-local backend: the pre-persistence behaviour, unchanged.
-
-    A restart loses everything — which is exactly what the server did before
-    durable state existed, and what tests/benchmarks that never pass a
-    ``state_dir`` still get.  All operations run under one lock; records are
-    JSON-normalised on write so semantics match :class:`SqliteBackend`.
-    """
-
-    kind = "memory"
-
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._sessions: dict[str, dict[str, Any]] = {}
-        self._scenarios: dict[str, list[dict[str, Any]]] = {}
-        self._versions: dict[str, dict[int, dict[str, Any]]] = {}
-        self._jobs: dict[str, dict[str, Any]] = {}
-
-    @contextmanager
-    def transaction(self) -> Iterator["MemoryBackend"]:
-        # the RLock makes nested transaction() blocks and the individual
-        # write primitives mutually atomic within this process
+        """Release the database connection (idempotent)."""
         with self._lock:
-            yield self
-
-    def _write_session(self, record: dict[str, Any]) -> None:
-        with self._lock:
-            self._sessions[record["session_id"]] = record
-
-    def _read_session(self, session_id: str) -> dict[str, Any] | None:
-        with self._lock:
-            record = self._sessions.get(session_id)
-            return dict(record) if record is not None else None
-
-    def _delete_session(self, session_id: str) -> None:
-        with self._lock:
-            self._sessions.pop(session_id, None)
-
-    def _read_sessions(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [dict(record) for record in self._sessions.values()]
-
-    def _read_share(self, share_id: str) -> dict[str, Any] | None:
-        with self._lock:
-            for record in self._sessions.values():
-                if record.get("share_id") == share_id:
-                    return dict(record)
-            return None
-
-    def _append_scenario(self, session_id: str, payload: dict[str, Any]) -> None:
-        with self._lock:
-            self._scenarios.setdefault(session_id, []).append(payload)
-
-    def _read_scenarios(self, session_id: str) -> list[dict[str, Any]]:
-        with self._lock:
-            return [dict(event) for event in self._scenarios.get(session_id, [])]
-
-    def _clear_scenarios(self, session_id: str) -> None:
-        with self._lock:
-            self._scenarios.pop(session_id, None)
-
-    def _write_version(self, session_id: str, record: dict[str, Any]) -> None:
-        with self._lock:
-            self._versions.setdefault(session_id, {})[int(record["version_id"])] = record
-
-    def _read_versions(self, session_id: str) -> list[dict[str, Any]]:
-        with self._lock:
-            return [dict(record) for record in self._versions.get(session_id, {}).values()]
-
-    def _delete_versions(self, session_id: str) -> None:
-        with self._lock:
-            self._versions.pop(session_id, None)
-
-    def _write_job(self, job_id: str, state: str, snapshot: dict[str, Any]) -> None:
-        with self._lock:
-            self._jobs[job_id] = {"job_id": job_id, "state": state, "snapshot": snapshot}
-
-    def _delete_job(self, job_id: str) -> None:
-        with self._lock:
-            self._jobs.pop(job_id, None)
-
-    def _read_jobs(self) -> list[dict[str, Any]]:
-        with self._lock:
-            return [
-                {**record, "snapshot": dict(record["snapshot"])}
-                for record in self._jobs.values()
-            ]
-
-    def _counts(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "sessions": len(self._sessions),
-                "scenario_events": sum(len(v) for v in self._scenarios.values()),
-                "versions": sum(len(v) for v in self._versions.values()),
-                "jobs": len(self._jobs),
-                "durable": False,
-            }
+            self._conn.close()

@@ -191,7 +191,7 @@ class SystemDServer:
         Durable-state backend for the registry and the engine's job store
         (ignored when an explicit ``registry`` is passed — its backend wins,
         so registry and job store always share one backend).  Defaults to
-        the process-local :class:`~repro.persist.MemoryBackend`.
+        an in-memory :class:`~repro.persist.StateBackend`.
     """
 
     def __init__(

@@ -31,6 +31,7 @@ honour cancellation.
 from __future__ import annotations
 
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -51,6 +52,7 @@ __all__ = [
     "MAX_N_CALLS",
     "MAX_ROWS",
     "MAX_SCENARIOS",
+    "MAX_SCENARIO_ROWS",
     "MAX_WAIT_S",
     "OPERATIONS",
     "Operation",
@@ -66,6 +68,13 @@ MAX_ROWS = 100_000
 #: Most scenarios one request may score: a sweep's grid size or
 #: ``sample.n``, or a comparison's drivers x amounts.
 MAX_SCENARIOS = 10_000
+#: Most scenario-rows one request may score: those scenarios times the
+#: session's loaded rows.  At ~4.5 us per row for a full forest pass that
+#: is ~45 CPU-seconds, where the two caps above alone admit 10^9 (~4,500
+#: CPU-seconds).  It admits a comparison of every deal_closing driver at
+#: five amounts on ``MAX_ROWS`` rows (6 x 10^6); the largest request the
+#: benchmarks send, a 120-scenario grid on 2,000 rows, is 2.4% of it.
+MAX_SCENARIO_ROWS = 10_000_000
 #: Most objective evaluations one goal inversion may spend.
 MAX_N_CALLS = 100
 #: Longest ``timeout_s`` a ``job_result`` request may block for, in seconds.
@@ -133,6 +142,12 @@ def _check_cap(name: str, value: float, limit: int) -> None:
     """413 (``too_large``) when a size parameter exceeds its cap."""
     if value > limit:
         raise TooLargeError(f"{name} of {value:g} exceeds the limit of {limit}")
+
+
+def _check_scenario_rows(scenarios: int, session: WhatIfSession) -> None:
+    """413 when scoring ``scenarios`` over the session's loaded rows would
+    exceed :data:`MAX_SCENARIO_ROWS`; checked before the model is fetched."""
+    _check_cap("scenarios x rows", scenarios * session.frame.n_rows, MAX_SCENARIO_ROWS)
 
 
 # --------------------------------------------------------------------------- #
@@ -313,6 +328,7 @@ def handle_comparison(
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid drivers or amounts: {exc}") from exc
     _check_cap("drivers x amounts", n_drivers * len(amounts), MAX_SCENARIOS)
+    _check_scenario_rows(n_drivers * len(amounts), session)
     try:
         result = session.comparison_analysis(
             drivers,
@@ -471,6 +487,11 @@ def _parse_scenario_space(params: dict[str, Any]):
         raise ProtocolError(f"invalid scenario space: {exc}") from exc
 
 
+def _sweep_scenarios(space: Any) -> int:
+    """Most scenarios a sweep of ``space`` scores: its grid, or its sample."""
+    return min(space.size, space.sample["n"]) if space.sample else space.size
+
+
 def handle_run_sweep(
     state: ServerState,
     params: dict[str, Any],
@@ -487,6 +508,7 @@ def handle_run_sweep(
     """
     session = state.require_session()
     space = _parse_scenario_space(params)
+    _check_scenario_rows(_sweep_scenarios(space), session)
     try:
         result = session.sweep(
             space,
@@ -559,6 +581,23 @@ def handle_list_scenarios(state: ServerState, params: dict[str, Any]) -> dict[st
 # --------------------------------------------------------------------------- #
 # server-scoped handlers: session lifecycle and observability
 # --------------------------------------------------------------------------- #
+#: Session ids a route can address: one URL path segment that needs no
+#: percent-encoding.
+_SESSION_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
+
+
+def _check_session_id(session_id: str) -> None:
+    """400 unless ``session_id`` is addressable: it matches
+    :data:`_SESSION_ID` and no route has a literal segment where ``{sid}``
+    sits (``/sessions/share/...`` would shadow a session named ``share``)."""
+    if not _SESSION_ID.fullmatch(session_id) or session_id in _RESERVED_SESSION_IDS:
+        raise ProtocolError(
+            f"invalid session_id {session_id!r}: 1-64 letters, digits, '.', '_' "
+            "or '-', starting with a letter or digit, and not "
+            + ", ".join(repr(word) for word in sorted(_RESERVED_SESSION_IDS))
+        )
+
+
 def handle_create_session(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
     """Register a new analysis session and return its id.
 
@@ -567,6 +606,8 @@ def handle_create_session(server: "SystemDServer", params: dict[str, Any]) -> di
     session.
     """
     requested_id = params.get("session_id")
+    if requested_id:
+        _check_session_id(str(requested_id))
     try:
         entry = server.registry.create(str(requested_id) if requested_id else None)
     except ValueError as exc:
@@ -892,6 +933,9 @@ def handle_sweep(server: "SystemDServer", params: dict[str, Any]) -> dict[str, A
     ranked result with ``sweep_result``.
     """
     space = _parse_scenario_space(params)
+    session = server._entry_for(_resolve_session_id(params)).state.session
+    if session is not None:  # an unloaded session's job fails on its own
+        _check_scenario_rows(_sweep_scenarios(space), session)
     job_params: dict[str, Any] = {
         "space": space.to_dict(),
         "space_hash": space.space_hash(),
@@ -1110,3 +1154,21 @@ SERVER_HANDLERS = {
 JOB_HANDLERS = {op.action: _job_runner(op.handler) for op in OPERATIONS if op.job}
 #: Job actions fanned out to the process executor when one is configured.
 PROCESS_ACTIONS = frozenset(op.action for op in OPERATIONS if op.pool)
+
+
+def _reserved_session_ids() -> frozenset[str]:
+    """Literal segments the table routes at a ``{sid}`` position."""
+    paths = [op.route.split(" ")[1].split("?")[0].split("/") for op in OPERATIONS if op.route]
+    reserved = set()
+    for sid_path in (path for path in paths if "{sid}" in path):
+        at = sid_path.index("{sid}")
+        reserved.update(
+            path[at]
+            for path in paths
+            if len(path) > at and path[:at] == sid_path[:at] and not path[at].startswith("{")
+        )
+    return frozenset(reserved)
+
+
+#: Session ids a route would shadow (``share`` today).
+_RESERVED_SESSION_IDS = _reserved_session_ids()

@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..persist import MemoryBackend, StateBackend
+from ..persist import StateBackend
 from .handlers import ServerState
 
 __all__ = ["SessionEntry", "SessionRegistry", "UnknownSessionError", "DEFAULT_SESSION_ID"]
@@ -88,9 +88,9 @@ class SessionRegistry:
     clock:
         Monotonic time source, injectable for tests.
     backend:
-        Durable-state backend session records are journaled to.  Defaults
-        to a private :class:`~repro.persist.MemoryBackend`, which preserves
-        the pre-persistence behaviour exactly; a durable backend
+        State store session records are journaled to.  Defaults to a
+        private in-memory :class:`~repro.persist.StateBackend`, whose
+        records die with the process; a durable backend
         additionally keeps records of evicted sessions so they recover
         lazily (:meth:`get` rebuilds the analysis from its journaled load
         parameters and replays the scenario ledger) or eagerly via
@@ -118,7 +118,7 @@ class SessionRegistry:
         self.ttl_seconds = ttl_seconds
         self.pinned = frozenset(pinned)
         self._clock = clock
-        self.backend = backend if backend is not None else MemoryBackend()
+        self.backend = backend if backend is not None else StateBackend()
         #: Shared model cache injected by the server; recovery threads it
         #: into rebuilt sessions so refits hit the fingerprint-keyed cache.
         self.model_cache = None

@@ -1,8 +1,9 @@
-"""Backend conformance suite: memory and sqlite must behave identically.
+"""State-store conformance suite: in memory and on a file, one behaviour.
 
-Every test runs against both :class:`~repro.persist.MemoryBackend` and
-:class:`~repro.persist.SqliteBackend` — the registry, scenario ledger, and
-job store treat the backend as a black box, so any semantic gap between the
+Every test runs against :class:`~repro.persist.StateBackend` in both of its
+modes — ``":memory:"`` (id ``memory``, the default without ``--state-dir``)
+and a database file (id ``sqlite``) — the registry, scenario ledger, and
+job store treat the store as a black box, so any semantic gap between the
 two (ordering, JSON normalisation, cascade deletes) would surface as a
 behaviour change only under ``--state-dir``.  Durable-only behaviour
 (surviving a reopen) is covered separately at the bottom.
@@ -16,9 +17,7 @@ import pytest
 
 from repro.persist import (
     JOB_INTERRUPTED_REASON,
-    MemoryBackend,
     PersistenceError,
-    SqliteBackend,
     StateBackend,
     open_backend,
     sqlite_path,
@@ -28,9 +27,9 @@ from repro.persist import (
 @pytest.fixture(params=["memory", "sqlite"])
 def backend(request, tmp_path):
     if request.param == "memory":
-        backend = MemoryBackend()
+        backend = StateBackend(":memory:")
     else:
-        backend = SqliteBackend(tmp_path / "state.sqlite3")
+        backend = StateBackend(tmp_path / "state.sqlite3")
     yield backend
     backend.close()
 
@@ -191,13 +190,13 @@ class TestTransactionsAndStats:
 class TestDurability:
     def test_sqlite_survives_reopen(self, tmp_path):
         path = tmp_path / "state.sqlite3"
-        first = SqliteBackend(path)
+        first = StateBackend(path)
         first.save_session(session_record("s-a"))
         first.append_scenario("s-a", {"scenario_id": 1, "name": "kept"})
         first.save_job("j-1", "done", {"job_id": "j-1", "state": "done", "result": {"v": 7}})
         first.close()
 
-        second = SqliteBackend(path)
+        second = StateBackend(path)
         assert second.load_session("s-a")["use_case"] == "deal_closing"
         assert second.load_scenarios("s-a")[0]["name"] == "kept"
         assert second.load_jobs()[0]["snapshot"]["result"] == {"v": 7}
@@ -205,16 +204,10 @@ class TestDurability:
 
     def test_open_backend_dispatch(self, tmp_path):
         memory = open_backend(None)
-        assert isinstance(memory, MemoryBackend) and not memory.durable
+        assert memory.kind == "memory" and not memory.durable
         durable = open_backend(tmp_path / "state")
         try:
-            assert isinstance(durable, SqliteBackend) and durable.durable
+            assert durable.kind == "sqlite" and durable.durable
             assert sqlite_path(tmp_path / "state").exists()
         finally:
             durable.close()
-
-    def test_backends_share_the_abstract_contract(self):
-        # the conformance suite above is only meaningful if both classes
-        # actually are StateBackends
-        assert issubclass(MemoryBackend, StateBackend)
-        assert issubclass(SqliteBackend, StateBackend)

@@ -1,7 +1,7 @@
 """In-process crash-recovery: a durable server's state survives a rebuild.
 
 These tests simulate the restart boundary without a subprocess: server A
-writes through a :class:`~repro.persist.SqliteBackend`, is discarded
+writes through a file-backed :class:`~repro.persist.StateBackend`, is discarded
 (without closing its sessions — that is the crash), and server B opens a
 fresh backend over the same file.  Everything authoritative must come back
 bitwise: session registry entries, scenario ledgers (replayed), ledger
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.persist import JOB_INTERRUPTED_REASON, SqliteBackend
+from repro.persist import JOB_INTERRUPTED_REASON, StateBackend
 from repro.server import SystemDServer
 
 USE_CASE = "deal_closing"
@@ -21,7 +21,7 @@ DRIVER = "Open Marketing Email"
 
 
 def make_server(tmp_path):
-    return SystemDServer(backend=SqliteBackend(tmp_path / "state.sqlite3"))
+    return SystemDServer(backend=StateBackend(tmp_path / "state.sqlite3"))
 
 
 def populate(server, sid="s-alpha"):
@@ -169,7 +169,7 @@ class TestJobRecovery:
         second.close()
 
     def test_pending_job_is_failed_with_restart_reason(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "state.sqlite3")
+        backend = StateBackend(tmp_path / "state.sqlite3")
         backend.save_job(
             "j-interrupted",
             "pending",
@@ -204,7 +204,7 @@ class TestEvictionSemantics:
     def test_durable_eviction_keeps_the_record(self, tmp_path):
         from repro.server import SessionRegistry
 
-        backend = SqliteBackend(tmp_path / "state.sqlite3")
+        backend = StateBackend(tmp_path / "state.sqlite3")
         registry = SessionRegistry(capacity=1, backend=backend)
         registry.create("s-old")
         registry.create("s-new")  # LRU-evicts s-old from memory

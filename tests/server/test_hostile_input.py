@@ -23,6 +23,10 @@ from repro.server import handlers, serve_http
 
 #: A step grid whose amounts would take terabytes to build.
 HUGE_AXIS = {"driver": "Call", "start": 0, "stop": 1e12, "step": 1}
+#: Rows and scenarios each under their own cap whose product is over
+#: ``MAX_SCENARIO_ROWS``.
+WIDE_ROWS, WIDE_SCENARIOS = 2_000, 6_000
+WIDE_AXIS = {"driver": "Call", "start": 1, "stop": WIDE_SCENARIOS, "step": 1}
 
 
 def start(httpd):
@@ -149,6 +153,42 @@ class TestCaps:
             space={"axes": [HUGE_AXIS]},
         )
         assert not response.ok and response.error_kind == "too_large"
+
+
+class TestScenarioRowCap:
+    @pytest.fixture(scope="class")
+    def wide_session(self, httpd):
+        assert WIDE_SCENARIOS <= handlers.MAX_SCENARIOS and WIDE_ROWS <= handlers.MAX_ROWS
+        assert WIDE_SCENARIOS * WIDE_ROWS > handlers.MAX_SCENARIO_ROWS
+        body = {
+            "session_id": "wide",
+            "use_case": "deal_closing",
+            "dataset_kwargs": {"n_prospects": WIDE_ROWS},
+        }
+        status, envelope = call(httpd.base_url, "POST", "/api/v1/sessions", body)
+        assert status == 201, envelope
+        return "wide"
+
+    @pytest.mark.parametrize(
+        "action, params",
+        [
+            ("comparison", {"drivers": ["Call"], "amounts": list(range(WIDE_SCENARIOS))}),
+            ("run_sweep", {"space": {"axes": [WIDE_AXIS]}}),
+        ],
+        ids=["comparison", "sweep"],
+    )
+    def test_over_cap_job_fails_before_any_scoring(self, httpd, wide_session, action, params):
+        job, error = failed_job(httpd, wide_session, action, params)
+        assert job["state"] == "failed"
+        assert job["progress"] == 0.0
+        assert "scenarios x rows" in error and "exceeds the limit" in error
+
+    def test_over_cap_sweep_submission_is_413(self, httpd, wide_session):
+        path = f"/api/v1/sessions/{wide_session}/sweeps"
+        status, envelope = call(httpd.base_url, "POST", path, {"space": {"axes": [WIDE_AXIS]}})
+        assert status == 413, envelope
+        assert envelope["error_kind"] == "too_large"
+        assert "scenarios x rows" in envelope["error"]
 
 
 class TestJobResultWait:
