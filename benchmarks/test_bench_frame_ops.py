@@ -4,11 +4,11 @@ PR 2's tree kernels took model scoring off the critical path, which left the
 frame layer's per-row Python loops — tuple-key group-by, dict-assembled
 joins — as the dominant cost of per-cohort what-if analyses.  This benchmark
 verifies on **every** registry dataset that the columnar group-by, join, and
-``from_records`` paths return the same results as the ``_*_rowwise``
-references (float aggregates agree to rounding; segment reductions sum in a
-different order than ``np.nansum``'s pairwise scheme), and times both paths
-at 50k rows, requiring the ≥5× speedup from the issue on group-by-agg and
-inner join.
+``from_records`` paths return the same results as the row-wise references
+in :mod:`benchmarks.oracles` (float aggregates agree to rounding; segment
+reductions sum in a different order than ``np.nansum``'s pairwise scheme),
+and times both paths at 50k rows, requiring a ≥5× speedup on group-by-agg
+and inner join.
 
 Timings are written to ``BENCH_frame_ops.json`` (path overridable via the
 ``BENCH_FRAME_OUTPUT`` environment variable); the CI ``bench`` job uploads
@@ -25,10 +25,10 @@ import time
 import numpy as np
 
 from repro.frame import Column, DataFrame, join_frames
-from repro.frame.join import _join_rowwise
 from repro.datasets import list_use_cases
 
 from .conftest import print_table
+from .oracles import agg_rowwise, from_records_rowwise, join_rowwise, size_rowwise
 
 #: Moderate per-use-case sizes so the equivalence sweep stays fast.
 DATASET_KWARGS = {
@@ -131,18 +131,18 @@ def test_columnar_results_match_rowwise_on_every_dataset():
             value_columns[0]: "mean",
             value_columns[1]: "sum",
         }
-        _assert_frames_close(grouped.agg(aggregations), grouped._agg_rowwise(aggregations))
-        _assert_frames_close(grouped.size(), grouped._size_rowwise())
+        _assert_frames_close(grouped.agg(aggregations), agg_rowwise(grouped, aggregations))
+        _assert_frames_close(grouped.size(), size_rowwise(grouped))
 
         per_group = grouped.agg({value_columns[0]: "mean"})
         for how in ("inner", "left"):
             _assert_frames_close(
                 join_frames(frame, per_group, [key], how=how),
-                _join_rowwise(frame, per_group, [key], how=how),
+                join_rowwise(frame, per_group, [key], how=how),
             )
 
         records = frame.to_records()
-        assert DataFrame.from_records(records) == DataFrame._from_records_rowwise(records)
+        assert DataFrame.from_records(records) == from_records_rowwise(records)
 
 
 def test_groupby_agg_speedup_and_artifact(benchmark):
@@ -152,7 +152,7 @@ def test_groupby_agg_speedup_and_artifact(benchmark):
 
     columnar = grouped.agg(aggregations)
     started = time.perf_counter()
-    rowwise = grouped._agg_rowwise(aggregations)
+    rowwise = agg_rowwise(grouped, aggregations)
     rowwise_s = time.perf_counter() - started
     _assert_frames_close(columnar, rowwise)
 
@@ -202,7 +202,7 @@ def test_inner_join_speedup_and_artifact(benchmark):
 
     columnar = join_frames(left, right, ["account"], how="inner")
     started = time.perf_counter()
-    rowwise = _join_rowwise(left, right, ["account"], how="inner")
+    rowwise = join_rowwise(left, right, ["account"], how="inner")
     rowwise_s = time.perf_counter() - started
     _assert_frames_close(columnar, rowwise)
     assert columnar.n_rows == TIMING_ROWS
@@ -252,7 +252,7 @@ def test_from_records_round_trip_on_timing_frame():
     """Columnar ingestion reproduces the row-wise constructor at 50k rows."""
     left, _ = _timing_frame()
     records = left.head(5_000).to_records()
-    assert DataFrame.from_records(records) == DataFrame._from_records_rowwise(records)
+    assert DataFrame.from_records(records) == from_records_rowwise(records)
 
 
 def test_artifact_written_after_speedup_tests():

@@ -31,6 +31,7 @@ from repro.datasets import get_use_case, list_use_cases
 from repro.ml import RandomForestClassifier, RandomForestRegressor
 
 from .conftest import print_table
+from .oracles import predict_proba_recursive, predict_recursive, predict_values_recursive
 
 #: Moderate per-use-case sizes so the equivalence sweep stays fast.
 DATASET_KWARGS = {
@@ -84,8 +85,8 @@ def _fit_forest(use_case, X, y, n_estimators=20):
 
 def _predict_both(forest, X):
     if isinstance(forest, RandomForestClassifier):
-        return forest.predict_proba(X), forest._predict_proba_recursive(X)
-    return forest.predict(X), forest._predict_recursive(X)
+        return forest.predict_proba(X), predict_proba_recursive(forest, X)
+    return forest.predict(X), predict_recursive(forest, X)
 
 
 def test_kernel_predictions_bitwise_equal_on_every_dataset():
@@ -100,7 +101,7 @@ def test_kernel_predictions_bitwise_equal_on_every_dataset():
         for tree in forest.estimators_[:3]:
             assert np.array_equal(
                 tree.kernel_.predict(X),
-                np.atleast_2d(tree._predict_values_recursive(X).T).T,
+                np.atleast_2d(predict_values_recursive(tree, X).T).T,
             )
 
 
@@ -178,7 +179,7 @@ def test_forest_kernel_speedup_and_artifact(benchmark):
     assert np.array_equal(kernel_out, recursive_out)
 
     started = time.perf_counter()
-    forest._predict_proba_recursive(X)
+    predict_proba_recursive(forest, X)
     recursive_s = time.perf_counter() - started
 
     def kernel_batch():

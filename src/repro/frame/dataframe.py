@@ -103,7 +103,7 @@ class DataFrame:
         into ``NaN`` in C instead of a second Python comprehension.
         ``infer_dtype`` treats ``None`` as a float marker, so an int or bool
         column with missing entries promotes to ``"float"`` exactly as the
-        per-value row path did (kept as :meth:`_from_records_rowwise`).
+        per-value row path did.
         """
         order: dict[str, None] = {}
         for record in records:
@@ -113,25 +113,6 @@ class DataFrame:
         for name in order:
             values = [record.get(name) for record in records]
             columns.append(Column(name, values, dtype=infer_dtype(values)))
-        return cls(columns)
-
-    @classmethod
-    def _from_records_rowwise(cls, records: Sequence[Mapping[str, Any]]) -> "DataFrame":
-        """Reference implementation of :meth:`from_records` (kernel tests)."""
-        order: list[str] = []
-        for record in records:
-            for key in record:
-                if key not in order:
-                    order.append(key)
-        columns = {}
-        for name in order:
-            values = [record.get(name) for record in records]
-            dtype = infer_dtype([v for v in values if v is not None])
-            if dtype in ("int", "bool") and any(v is None for v in values):
-                dtype = "float"
-            if dtype != "string":
-                values = [float("nan") if v is None else v for v in values]
-            columns[name] = Column(name, values, dtype=dtype)
         return cls(columns)
 
     @classmethod

@@ -11,10 +11,9 @@ The grouping itself is columnar (see :mod:`repro.frame.kernels`): key columns
 are factorized to integer codes, combined into one group-id array, and a
 single stable argsort yields every group's row indices.  Aggregations run as
 segment reductions over that permutation — no per-group sub-frame is built
-unless the caller iterates.  The original per-row tuple loop survives as
-``_build_groups_rowwise`` / ``_agg_rowwise`` / ``_size_rowwise``, the
-reference implementations the kernel equivalence tests compare against
-(mirroring how :mod:`repro.ml.kernel` keeps the recursive tree walk around).
+unless the caller iterates.  The original per-row tuple loop is the
+reference implementation the kernel equivalence tests compare against; it
+lives with the other oracles in ``benchmarks/oracles.py``.
 
 One behavioural fix falls out of factorization: float ``NaN`` keys all land
 in a single group, where the tuple-key dict fragmented them into per-row
@@ -168,49 +167,3 @@ class GroupBy:
                 if name not in self._keys
             ]
         return self.agg({name: "mean" for name in columns})
-
-    # ------------------------------------------------------------------ #
-    # row-wise reference paths (kept for kernel equivalence tests)
-    # ------------------------------------------------------------------ #
-    def _build_groups_rowwise(self) -> dict[tuple[Any, ...], list[int]]:
-        """The original per-row tuple/dict grouping loop.
-
-        Note the known flaw the columnar path fixes: float ``NaN`` keys
-        fragment into singleton groups because ``NaN != NaN``.
-        """
-        groups: dict[tuple[Any, ...], list[int]] = {}
-        key_columns = [self._frame.column(key) for key in self._keys]
-        for index in range(self._frame.n_rows):
-            key = tuple(column[index] for column in key_columns)
-            groups.setdefault(key, []).append(index)
-        return groups
-
-    def _size_rowwise(self) -> DataFrame:
-        """Reference ``size``: one dict row per group through ``from_records``."""
-        rows = []
-        for key, indices in self._build_groups_rowwise().items():
-            row = dict(zip(self._keys, key))
-            row["size"] = len(indices)
-            rows.append(row)
-        return DataFrame._from_records_rowwise(rows)
-
-    def _agg_rowwise(self, aggregations: Mapping[str, str]) -> DataFrame:
-        """Reference ``agg``: materialize a sub-frame per group and reduce it
-        with the shared :data:`~repro.frame.kernels.COLUMN_REDUCERS` table."""
-        for column, how in aggregations.items():
-            if how not in COLUMN_REDUCERS:
-                raise TypeMismatchError(
-                    f"unknown aggregation {how!r}; expected one of "
-                    f"{sorted(COLUMN_REDUCERS)}"
-                )
-            self._frame.column(column)
-        rows = []
-        for key, indices in self._build_groups_rowwise().items():
-            row: dict[str, Any] = dict(zip(self._keys, key))
-            subframe = self._frame.take(indices)
-            for column, how in aggregations.items():
-                row[f"{column}_{how}"] = float(
-                    COLUMN_REDUCERS[how](subframe.column(column))
-                )
-            rows.append(row)
-        return DataFrame._from_records_rowwise(rows)

@@ -9,8 +9,8 @@ The join is columnar: key columns are factorized into a shared code space
 (:func:`repro.frame.kernels.join_indices`), matching left/right row-index
 arrays are computed with one argsort + searchsorted, and result columns are
 gathered with ``Column.take`` — no per-row dicts.  The original per-row
-nested loop survives as :func:`_join_rowwise`, the reference implementation
-the kernel equivalence tests compare against.  Both paths preserve source
+nested loop is the reference implementation the kernel equivalence tests
+compare against (``benchmarks/oracles.py``).  Both paths preserve source
 column dtypes when the join result is empty (string keys stay strings
 instead of collapsing to zero-length float columns).
 """
@@ -18,7 +18,6 @@ instead of collapsing to zero-length float columns).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Any
 
 import numpy as np
 
@@ -122,57 +121,3 @@ def join_frames(
         for name in renamed
     )
     return DataFrame(columns)
-
-
-def _join_rowwise(
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str],
-    *,
-    how: str = "inner",
-    suffix: str = "_right",
-) -> DataFrame:
-    """Reference implementation: per-row dict index + record assembly.
-
-    Kept for the kernel equivalence tests.  Its one historical bug — an empty
-    result built through ``DataFrame.empty`` forced every column to dtype
-    ``"float"`` — is fixed here too, so both paths preserve source dtypes.
-    """
-    keys = list(on)
-    _validate(left, right, keys, how)
-
-    right_index: dict[tuple[Any, ...], list[int]] = {}
-    right_key_columns = [right.column(key) for key in keys]
-    for index in range(right.n_rows):
-        key = tuple(column[index] for column in right_key_columns)
-        right_index.setdefault(key, []).append(index)
-
-    renamed = _renamed_value_columns(left, right, keys, suffix)
-    right_value_names = list(renamed)
-
-    rows: list[dict[str, Any]] = []
-    left_key_columns = [left.column(key) for key in keys]
-    for index in range(left.n_rows):
-        key = tuple(column[index] for column in left_key_columns)
-        left_row = left.row(index)
-        matches = right_index.get(key, [])
-        if matches:
-            for match in matches:
-                right_row = right.row(match)
-                combined = dict(left_row)
-                for name in right_value_names:
-                    combined[renamed[name]] = right_row[name]
-                rows.append(combined)
-        elif how == "left":
-            combined = dict(left_row)
-            for name in right_value_names:
-                combined[renamed[name]] = None
-            rows.append(combined)
-
-    if not rows:
-        dtypes = {name: left.column(name).dtype for name in left.columns}
-        dtypes.update(
-            {renamed[name]: right.column(name).dtype for name in right_value_names}
-        )
-        return DataFrame.empty(list(dtypes), dtypes=dtypes)
-    return DataFrame._from_records_rowwise(rows)

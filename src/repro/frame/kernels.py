@@ -26,11 +26,10 @@ the same compile-to-numpy-arrays pattern to the relational substrate:
   ``np.repeat`` arithmetic.  The caller gathers result columns with
   ``Column.take`` instead of building per-row dicts.
 
-The row-wise reference implementations stay available as ``_*_rowwise``
-methods on :class:`~repro.frame.groupby.GroupBy`,
-:func:`~repro.frame.join.join_frames`, and
-:class:`~repro.frame.dataframe.DataFrame` so equivalence is property-tested
-the same way the tree kernels are checked against the recursive walk.
+The row-wise reference implementations of group-by, join and
+``from_records`` live in ``benchmarks/oracles.py``, next to the recursive
+tree walk, so equivalence is property-tested the same way the tree kernels
+are.
 
 :data:`COLUMN_REDUCERS` is the single reducer table shared by
 ``DataFrame.aggregate`` and the row-wise group-by path; the vectorized

@@ -163,15 +163,6 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
         X = check_array(X, allow_1d=True)
         return self.kernel_.predict_proba(X, restart=restart, leaves_out=leaves_out)
 
-    def _predict_proba_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Pre-kernel prediction path (per-row tree walks); benchmarks only."""
-        aggregate = np.zeros((X.shape[0], self.classes_.shape[0]))
-        for tree in self.estimators_:
-            proba = tree._predict_values_recursive(X)
-            positions = np.searchsorted(self.classes_, tree.classes_)
-            aggregate[:, positions] += proba
-        return aggregate / len(self.estimators_)
-
     def predict(self, X) -> np.ndarray:
         """Majority-vote (probability-averaged) class labels."""
         proba = self.predict_proba(X)
@@ -259,10 +250,3 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
         check_is_fitted(self, "feature_importances_")
         X = check_array(X, allow_1d=True)
         return self.kernel_.predict(X)
-
-    def _predict_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Pre-kernel prediction path (per-row tree walks); benchmarks only."""
-        predictions = np.zeros(X.shape[0])
-        for tree in self.estimators_:
-            predictions += tree._predict_values_recursive(X)
-        return predictions / len(self.estimators_)

@@ -10,15 +10,21 @@ in one traversal per tree:
 
 1. **Monotone perturbations ⇒ interval decisions.**  Percentage and absolute
    perturbations are monotone in the amount (clipping preserves this), so
-   with an axis's amounts sorted ascending, the set of levels that sends a
-   row *left* at a node testing that axis's driver is a prefix or suffix of
-   the level order — an **interval**, whose complement is also an interval.
+   with an axis's amounts sorted ascending every row's perturbed levels
+   either rise or fall, and the levels that send the row *left* at a node
+   testing that axis's driver are a prefix (rising) or a suffix (falling)
+   of the level order — an **interval**, whose complement is also one.  The
+   cut between them is how many of the row's levels are ``<=`` the node's
+   threshold, a binary search over the row's levels in ascending order.
 2. **Box propagation.**  A traversal lane therefore never needs one slot per
-   scenario: it carries a per-axis level interval (a *box* of the grid).  At
-   a node on an unswept feature the whole box follows one child (the
-   decision is precomputed from the baseline column); at a node on a swept
-   axis the box splits into at most two boxes.  Each ``(tree, row)`` pair
-   ends at a handful of leaf boxes instead of ``n_scenarios`` leaves.
+   scenario: it carries a per-axis level interval (a *box* of the grid).
+   Each decision is made where a lane is, never tabulated ahead: at a node
+   on an unswept feature the whole box follows the row's baseline value
+   (the forest's own self-looping step, so finished lanes spin in their
+   leaf); at a node on a swept axis the box splits at the cut into at most
+   two boxes.  Each ``(tree, row)`` pair ends at a handful of leaf boxes
+   instead of ``n_scenarios`` leaves, and the transient memory is the lanes
+   and the grid, not the forest's nodes × rows.
 
 Materialisation stays **bitwise identical** to the per-scenario path: each
 tree's boxes are unrolled into runs along the innermost grid axis, the runs'
@@ -43,37 +49,29 @@ import numpy as np
 
 from ..core.model_manager import ModelManager
 from ..core.sensitivity import ignore
+from ..ml import RandomForestClassifier
 from .space import ScenarioSpace
 
-__all__ = ["grid_sweep_kpis", "grid_kernel_applies", "MAX_GRID_CELLS", "MAX_AXIS_LEVELS"]
+__all__ = ["grid_sweep_kpis", "grid_kernel_applies", "MAX_GRID_CELLS"]
 
 #: Upper bound on ``n_scenarios × n_rows`` grid cells the kernel will
 #: materialise (the prediction surface is one float64 per cell).
 MAX_GRID_CELLS = 32_000_000
-
-#: Levels per axis the kernel supports (its lane boxes and decision cuts are
-#: int16); longer axes are scored by batched perturbation-set units.
-MAX_AXIS_LEVELS = 32_000
 
 
 def grid_kernel_applies(manager: ModelManager, space: ScenarioSpace) -> bool:
     """Whether :func:`grid_sweep_kpis` will score this (manager, space) pair.
 
     Cheap structural check (no scoring): exhaustive unconstrained space, a
-    kernel-compiled classifier forest, and a grid small enough to
-    materialise.  The kernel itself may still fall back in one rare case —
-    an interval-property violation — which this probe does not predict.
+    forest classifier, and a grid small enough to materialise.  The kernel
+    itself may still fall back in one rare case — a row whose perturbed
+    levels neither rise nor fall — which this probe does not predict.
     """
     if space.sample is not None or space.constraints:
         return False
-    model = manager.model
-    if getattr(model, "kernel_", None) is None or not manager.kpi.is_discrete:
-        return False
-    if getattr(model, "classes_", None) is None:
+    if not isinstance(manager.model, RandomForestClassifier):
         return False
     sizes = [len(axis.amounts) for axis in space.axes]
-    if max(sizes) > MAX_AXIS_LEVELS:
-        return False
     return int(np.prod(sizes)) * manager.frame.n_rows <= MAX_GRID_CELLS
 
 
@@ -86,171 +84,106 @@ def grid_sweep_kpis(
     """KPIs of every grid scenario in enumeration order, or None if the
     kernel does not apply.
 
-    Applies to exhaustive, unconstrained spaces scored by a kernel-compiled
-    forest classifier (the model family every discrete-KPI session trains).
+    Applies to exhaustive, unconstrained spaces scored by a forest
+    classifier (the model family every discrete-KPI session trains).
     ``checkpoint`` is called after each tree with the completed fraction.
     """
     if not grid_kernel_applies(manager, space):
         return None
-    model = manager.model
-    kernel = model.kernel_
-    classes = model.classes_
-
-    X = manager.driver_matrix()
-    n_rows = X.shape[0]
-    sizes = [len(axis.amounts) for axis in space.axes]
+    kernel = manager.model.kernel_
+    X = np.ascontiguousarray(manager.driver_matrix())
+    n_rows, n_columns = X.shape
+    sizes = np.array([len(axis.amounts) for axis in space.axes], dtype=np.intp)
+    n_axes = sizes.shape[0]
     n_scenarios = int(np.prod(sizes))
 
-    # --- per-axis tables: sorted levels and their perturbed columns ------- #
+    # --- per-axis level tables -------------------------------------------- #
     # The interval property needs amounts ascending; `orders` maps sorted
-    # level positions back to the axis's enumeration order at the end.
-    columns = [manager.drivers.index(axis.driver) for axis in space.axes]
+    # level positions back to the axis's enumeration order at the end.  Each
+    # row's perturbed levels must rise or fall (bail out to the fallback path
+    # otherwise rather than risk a wrong answer); they are stored ascending,
+    # row-major, so a lane's binary search reads one contiguous run.
     orders = [np.argsort(np.asarray(axis.amounts, dtype=np.float64)) for axis in space.axes]
-    perturbed = [
-        np.stack(
+    axis_of_node = np.full(kernel.feature.shape[0], -1, dtype=np.intp)
+    tables: list[np.ndarray] = []
+    rising: list[np.ndarray] = []
+    for axis_index, (axis, order) in enumerate(zip(space.axes, orders)):
+        column = manager.drivers.index(axis.driver)
+        axis_of_node[kernel.feature == column] = axis_index  # leaves stay -1
+        levels = np.stack(
             [
                 axis.perturbation(axis.amounts[level]).apply_to_values(X[:, column])
                 for level in order
-            ]
+            ],
+            axis=1,
         )
-        for axis, column, order in zip(space.axes, columns, orders)
-    ]
-
-    # --- per-node decision tables ----------------------------------------- #
-    # Unswept features: one baseline decision bit per (node, row).  Leaves
-    # self-loop via the nav arrays, so their bits are never consulted.
-    feature = kernel._nav_feature
-    threshold = kernel._nav_threshold
-    baseline_go_left = X[:, feature].T <= threshold[:, None]
-
-    # Swept axes: the left-going level interval (and its complement) per
-    # (node, row).  Monotonicity makes both intervals; verify and bail out
-    # to the fallback path on any violation rather than risk a wrong answer.
-    axis_of_node = np.full(feature.shape[0], -1, dtype=np.int8)
-    slot_of_node = np.zeros(feature.shape[0], dtype=np.intp)
-    cuts: list[tuple[np.ndarray, ...]] = []
-    is_leaf = kernel.feature < 0
-    for axis_index, column in enumerate(columns):
-        nodes = np.flatnonzero((kernel.feature == column) & ~is_leaf)
-        axis_of_node[nodes] = axis_index
-        slot_of_node[nodes] = np.arange(nodes.shape[0])
-        decisions = (
-            perturbed[axis_index][None, :, :] <= kernel.threshold[nodes][:, None, None]
-        )
-        n_true = decisions.sum(axis=1)
-        first = decisions.argmax(axis=1)
-        last = decisions.shape[1] - 1 - decisions[:, ::-1, :].argmax(axis=1)
-        interval = (n_true == 0) | (last - first + 1 == n_true)
-        prefix_or_suffix = (n_true == 0) | (first == 0) | (
-            last == decisions.shape[1] - 1
-        )
-        if not (interval & prefix_or_suffix).all():  # pragma: no cover - guard
+        step = np.diff(levels, axis=1)
+        up = (step >= 0).all(axis=1)
+        if not (up | (step <= 0).all(axis=1)).all():  # pragma: no cover - guard
             return None
-        left_lo = np.where(n_true > 0, first, 0).astype(np.int16)
-        left_hi = (left_lo + n_true).astype(np.int16)
-        # the complement of a prefix is a suffix and vice versa
-        right_lo = np.where(left_lo > 0, 0, left_hi).astype(np.int16)
-        right_hi = np.where(left_lo > 0, left_lo, len(orders[axis_index])).astype(
-            np.int16
-        )
-        cuts.append((left_lo, left_hi, right_lo, right_hi))
+        tables.append(np.where(up[:, None], levels, levels[:, ::-1]).ravel())
+        rising.append(up)
+    table = np.concatenate(tables)
+    rows_rising = np.concatenate(rising)
+    del tables, levels, step  # keeps the transient peak near the grid's
+    table_start = np.concatenate([[0], np.cumsum(sizes * n_rows)[:-1]])
 
     # --- box-propagating traversal (all trees at once) --------------------- #
-    n_axes = len(space.axes)
-    lane_node = np.repeat(kernel.roots, n_rows)
-    lane_row = np.tile(np.arange(n_rows, dtype=np.intp), kernel.n_trees)
-    lane_lo = [np.zeros(lane_node.shape[0], dtype=np.int16) for _ in range(n_axes)]
-    lane_hi = [
-        np.full(lane_node.shape[0], sizes[i], dtype=np.int16) for i in range(n_axes)
-    ]
-    out_node: list[np.ndarray] = []
-    out_row: list[np.ndarray] = []
-    out_lo: list[list[np.ndarray]] = [[] for _ in range(n_axes)]
-    out_hi: list[list[np.ndarray]] = [[] for _ in range(n_axes)]
-    while lane_node.shape[0]:
-        at_leaf = kernel.feature[lane_node] < 0
-        if at_leaf.any():
-            out_node.append(lane_node[at_leaf])
-            out_row.append(lane_row[at_leaf])
-            for i in range(n_axes):
-                out_lo[i].append(lane_lo[i][at_leaf])
-                out_hi[i].append(lane_hi[i][at_leaf])
-            keep = ~at_leaf
-            lane_node = lane_node[keep]
-            lane_row = lane_row[keep]
-            lane_lo = [lo[keep] for lo in lane_lo]
-            lane_hi = [hi[keep] for hi in lane_hi]
-            if not lane_node.shape[0]:
-                break
-        lane_axis = axis_of_node[lane_node]
-        next_node: list[np.ndarray] = []
-        next_row: list[np.ndarray] = []
-        next_lo: list[list[np.ndarray]] = [[] for _ in range(n_axes)]
-        next_hi: list[list[np.ndarray]] = [[] for _ in range(n_axes)]
+    flat = X.ravel()
+    node = np.repeat(kernel.roots, n_rows)
+    row = np.tile(np.arange(n_rows, dtype=np.intp), kernel.n_trees)
+    lo = np.zeros((n_axes, node.shape[0]), dtype=np.intp)
+    hi = np.repeat(sizes[:, None], node.shape[0], axis=1)
+    top_bit = 1 << (int(sizes.max()).bit_length() - 1)
+    for _ in range(kernel.max_depth):
+        split = np.flatnonzero(axis_of_node[node] >= 0)
+        parent = node[split]
+        node = kernel._step(flat, row * n_columns, node)
+        lane_axis = axis_of_node[parent]
+        lane_row = row[split]
+        length = sizes[lane_axis]
+        up = rows_rising[lane_axis * n_rows + lane_row]
+        # how many of the row's levels are <= the threshold: a branch-free
+        # binary search, one bit of the count per pass
+        base = table_start[lane_axis] + lane_row * length - 1
+        threshold = kernel.threshold[parent]
+        count = np.zeros(split.shape[0], dtype=np.intp)
+        bit = top_bit
+        while bit:
+            probe = count + bit
+            inside = probe <= length
+            count += bit * (inside & (table[base + np.minimum(probe, length)] <= threshold))
+            bit >>= 1
+        # the box splits at the cut: the lower piece goes left on a rising
+        # row and right on a falling one, the upper piece the other way
+        cut = np.where(up, count, length - count)
+        box_lo = lo[lane_axis, split]
+        box_hi = hi[lane_axis, split]
+        below = np.minimum(box_hi, cut)
+        above = np.maximum(box_lo, cut)
+        lower_child = np.where(up, kernel.left[parent], kernel.right[parent])
+        upper_child = np.where(up, kernel.right[parent], kernel.left[parent])
+        has_lower = box_lo < below
+        node[split] = np.where(has_lower, lower_child, upper_child)
+        lo[lane_axis, split] = np.where(has_lower, box_lo, above)
+        hi[lane_axis, split] = np.where(has_lower, below, box_hi)
+        # a box cut in two sends its upper piece on as a new lane
+        twins = np.flatnonzero(has_lower & (above < box_hi))
+        if twins.shape[0]:
+            twin_lo = lo[:, split[twins]]
+            twin_hi = hi[:, split[twins]]
+            twin_lo[lane_axis[twins], np.arange(twins.shape[0])] = above[twins]
+            twin_hi[lane_axis[twins], np.arange(twins.shape[0])] = box_hi[twins]
+            node = np.concatenate([node, upper_child[twins]])
+            row = np.concatenate([row, lane_row[twins]])
+            lo = np.concatenate([lo, twin_lo], axis=1)
+            hi = np.concatenate([hi, twin_hi], axis=1)
 
-        unswept = lane_axis < 0
-        if unswept.any():
-            node = lane_node[unswept]
-            row = lane_row[unswept]
-            go_left = baseline_go_left[node, row]
-            next_node.append(np.where(go_left, kernel.left[node], kernel.right[node]))
-            next_row.append(row)
-            for i in range(n_axes):
-                next_lo[i].append(lane_lo[i][unswept])
-                next_hi[i].append(lane_hi[i][unswept])
-
-        for axis_index in range(n_axes):
-            on_axis = lane_axis == axis_index
-            if not on_axis.any():
-                continue
-            node = lane_node[on_axis]
-            row = lane_row[on_axis]
-            slot = slot_of_node[node]
-            left_lo, left_hi, right_lo, right_hi = cuts[axis_index]
-            for child, node_lo, node_hi in (
-                (kernel.left, left_lo, left_hi),
-                (kernel.right, right_lo, right_hi),
-            ):
-                box_lo = np.maximum(lane_lo[axis_index][on_axis], node_lo[slot, row])
-                box_hi = np.minimum(lane_hi[axis_index][on_axis], node_hi[slot, row])
-                alive = box_lo < box_hi
-                if not alive.any():
-                    continue
-                next_node.append(child[node[alive]])
-                next_row.append(row[alive])
-                for i in range(n_axes):
-                    if i == axis_index:
-                        next_lo[i].append(box_lo[alive])
-                        next_hi[i].append(box_hi[alive])
-                    else:
-                        next_lo[i].append(lane_lo[i][on_axis][alive])
-                        next_hi[i].append(lane_hi[i][on_axis][alive])
-
-        lane_node = np.concatenate(next_node) if next_node else np.empty(0, dtype=np.intp)
-        lane_row = np.concatenate(next_row) if next_row else np.empty(0, dtype=np.intp)
-        lane_lo = [
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int16)
-            for parts in next_lo
-        ]
-        lane_hi = [
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int16)
-            for parts in next_hi
-        ]
-
-    leaf_node = np.concatenate(out_node)
-    leaf_row = np.concatenate(out_row)
-    leaf_lo = [np.concatenate(parts).astype(np.int64) for parts in out_lo]
-    leaf_hi = [np.concatenate(parts).astype(np.int64) for parts in out_hi]
+    del table, rows_rising
 
     # --- per-tree materialisation, accumulated in ensemble order ----------- #
-    # `positive_column` mirrors ModelManager.predict_rows_matrix exactly.
-    class_list = list(classes)
-    positive_column = (
-        class_list.index(1.0) if 1.0 in class_list else len(class_list) - 1
-    )
-    leaf_payload = np.ascontiguousarray(kernel.value[:, positive_column])
-
-    tree_of_leaf = np.searchsorted(kernel.roots, leaf_node, side="right") - 1
+    leaf_payload = np.ascontiguousarray(manager._positive_class(kernel.value))
+    tree_of_leaf = np.searchsorted(kernel.roots, node, side="right") - 1
     tree_order = np.argsort(tree_of_leaf, kind="stable")
     tree_bounds = np.searchsorted(tree_of_leaf[tree_order], np.arange(kernel.n_trees + 1))
 
@@ -270,22 +203,22 @@ def grid_sweep_kpis(
         # unroll boxes into runs along the innermost axis: expand over the
         # outer grid axes, accumulating each record's flat start offset
         record = segment
-        offset = leaf_row[segment] * np.int64(n_scenarios)
+        offset = row[segment] * np.int64(n_scenarios)
         for position, axis in enumerate(grid_axes[:-1]):
-            width = leaf_hi[axis][record] - leaf_lo[axis][record]
+            width = hi[axis][record] - lo[axis][record]
             expanded = np.repeat(np.arange(record.shape[0]), width)
             local = np.arange(expanded.shape[0]) - np.repeat(
                 np.cumsum(width) - width, width
             )
-            lows = leaf_lo[axis][record][expanded]
+            lows = lo[axis][record][expanded]
             offset = offset[expanded] + (lows + local) * strides[position]
             record = record[expanded]
-        starts = offset + leaf_lo[run_axis][record]
-        ends = offset + leaf_hi[run_axis][record]
+        starts = offset + lo[run_axis][record]
+        ends = offset + hi[run_axis][record]
         # telescoping ±id difference array: one bincount, one flat cumsum —
         # every sum is integer-valued, so float64 reconstructs the leaf-id
         # surface exactly
-        ids = leaf_node[record].astype(np.float64)
+        ids = node[record].astype(np.float64)
         surface = np.cumsum(
             np.bincount(
                 np.concatenate([starts, ends]),

@@ -1,10 +1,11 @@
 """Equivalence and regression tests for the columnar frame kernels.
 
 The columnar group-by/join/from_records paths must return the same results as
-the ``_*_rowwise`` reference implementations they replaced (the same contract
-the tree kernels honour against the recursive walk), and the three row-path
-bugs the vectorization exposed — unstable descending sort, dtype-erasing
-empty joins, NaN group-key fragmentation — each get a regression lock.
+the row-wise reference implementations they replaced (``benchmarks/oracles.py``;
+the same contract the tree kernels honour against the recursive walk), and the
+three row-path bugs the vectorization exposed — unstable descending sort,
+dtype-erasing empty joins, NaN group-key fragmentation — each get a regression
+lock.
 """
 
 from __future__ import annotations
@@ -16,6 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.oracles import (
+    agg_rowwise,
+    build_groups_rowwise,
+    from_records_rowwise,
+    join_rowwise,
+    size_rowwise,
+)
 from repro.frame import (
     COLUMN_REDUCERS,
     Column,
@@ -24,7 +32,6 @@ from repro.frame import (
     group_index,
     join_frames,
 )
-from repro.frame.join import _join_rowwise
 
 
 def _is_missing(value) -> bool:
@@ -91,18 +98,18 @@ def test_groupby_agg_matches_rowwise(frame, how):
     aggregations = {"value": how, "clicks": how}
     if how == "nunique":
         aggregations["key_s"] = how  # string nunique crashed the old reducer table
-    assert_frames_match(grouped.agg(aggregations), grouped._agg_rowwise(aggregations))
+    assert_frames_match(grouped.agg(aggregations), agg_rowwise(grouped, aggregations))
 
 
 @given(keyed_frames(), st.sampled_from([["key_s"], ["key_i", "flag"], ["key_s", "key_i"]]))
 @settings(max_examples=60, deadline=None)
 def test_groupby_structure_matches_rowwise(frame, keys):
     grouped = frame.groupby(keys)
-    rowwise = grouped._build_groups_rowwise()
+    rowwise = build_groups_rowwise(grouped)
     assert grouped.groups() == rowwise
     assert list(grouped.groups()) == list(rowwise)  # first-appearance order
     assert grouped.n_groups == len(rowwise)
-    assert_frames_match(grouped.size(), grouped._size_rowwise())
+    assert_frames_match(grouped.size(), size_rowwise(grouped))
 
 
 @given(keyed_frames(), keyed_frames(), st.sampled_from(["inner", "left"]))
@@ -112,7 +119,7 @@ def test_join_matches_rowwise(left, right, how):
     for keys in (["key_s"], ["key_s", "key_i"]):
         assert_frames_match(
             join_frames(left, right, keys, how=how),
-            _join_rowwise(left, right, keys, how=how),
+            join_rowwise(left, right, keys, how=how),
         )
 
 
@@ -130,7 +137,7 @@ def test_join_on_mixed_dtype_keys_matches_rowwise(how, flip):
     left, right = (textual, numeric) if flip else (numeric, textual)
     assert_frames_match(
         join_frames(left, right, ["k"], how=how),
-        _join_rowwise(left, right, ["k"], how=how),
+        join_rowwise(left, right, ["k"], how=how),
     )
 
 
@@ -155,7 +162,7 @@ def record_lists(draw):
 @given(record_lists())
 @settings(max_examples=60, deadline=None)
 def test_from_records_matches_rowwise(records):
-    assert DataFrame.from_records(records) == DataFrame._from_records_rowwise(records)
+    assert DataFrame.from_records(records) == from_records_rowwise(records)
 
 
 # --------------------------------------------------------------------------- #
@@ -246,7 +253,7 @@ class TestEmptyJoinDtypes:
 
     def test_rowwise_empty_inner_join_keeps_dtypes(self, disjoint):
         left, right = disjoint
-        joined = _join_rowwise(left, right, ["account"], how="inner")
+        joined = join_rowwise(left, right, ["account"], how="inner")
         assert joined.dtypes["account"] == "string"
         assert joined.dtypes["won"] == "bool"
 
@@ -282,7 +289,7 @@ class TestNaNGroupKeys:
     def test_rowwise_reference_still_fragments(self, nan_keyed):
         # the reference keeps the historical NaN != NaN behaviour; this pins
         # the *difference* so nobody "fixes" the reference silently
-        assert len(nan_keyed.groupby("bucket")._build_groups_rowwise()) == 5
+        assert len(build_groups_rowwise(nan_keyed.groupby("bucket"))) == 5
 
     def test_nan_group_aggregates_all_nan_rows(self, nan_keyed):
         result = nan_keyed.groupby("bucket").agg({"value": "sum"})
@@ -317,7 +324,7 @@ class TestSharedReducers:
         with pytest.raises(TypeMismatchError):
             tiny_frame.groupby("region").agg({"spend": "mode"})
         with pytest.raises(TypeMismatchError):
-            tiny_frame.groupby("region")._agg_rowwise({"spend": "mode"})
+            agg_rowwise(tiny_frame.groupby("region"), {"spend": "mode"})
         with pytest.raises(TypeMismatchError):
             tiny_frame.aggregate({"spend": "mode"})
 
@@ -363,11 +370,11 @@ class TestGroupIndex:
 
     def test_zero_keys_is_one_group_of_all_rows(self, tiny_frame):
         grouped = tiny_frame.groupby([])
-        assert grouped.groups() == grouped._build_groups_rowwise()
+        assert grouped.groups() == build_groups_rowwise(grouped)
         assert grouped.groups() == {(): list(range(tiny_frame.n_rows))}
 
     def test_zero_keys_on_empty_frame_has_no_groups(self):
         frame = DataFrame({"a": []})
         grouped = frame.groupby([])
         assert grouped.n_groups == 0
-        assert grouped.groups() == grouped._build_groups_rowwise() == {}
+        assert grouped.groups() == build_groups_rowwise(grouped) == {}

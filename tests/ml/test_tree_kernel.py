@@ -13,6 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from benchmarks.oracles import (
+    predict_node,
+    predict_proba_recursive,
+    predict_recursive,
+    predict_values_recursive,
+)
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -40,7 +46,7 @@ class TestTreeKernelEquivalence:
         X, y, _, X_eval = _random_problem(seed, n_classes=2 + seed % 3)
         tree = DecisionTreeClassifier(max_depth=1 + seed % 7, random_state=seed).fit(X, y)
         kernel = tree.predict_proba(X_eval)
-        recursive = tree._predict_values_recursive(X_eval)
+        recursive = predict_values_recursive(tree, X_eval)
         assert np.array_equal(kernel, recursive)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -48,7 +54,7 @@ class TestTreeKernelEquivalence:
         X, _, y, X_eval = _random_problem(seed)
         tree = DecisionTreeRegressor(max_depth=1 + seed % 7, random_state=seed).fit(X, y)
         kernel = tree.predict(X_eval)
-        recursive = tree._predict_values_recursive(X_eval)
+        recursive = predict_values_recursive(tree, X_eval)
         assert np.array_equal(kernel, recursive)
 
     def test_single_row_prediction(self):
@@ -56,8 +62,8 @@ class TestTreeKernelEquivalence:
         clf = DecisionTreeClassifier(max_depth=4, random_state=0).fit(X, y)
         reg = DecisionTreeRegressor(max_depth=4, random_state=0).fit(X, y_reg)
         row = X_eval[:1]
-        assert np.array_equal(clf.predict_proba(row), clf._predict_values_recursive(row))
-        assert np.array_equal(reg.predict(row), reg._predict_values_recursive(row))
+        assert np.array_equal(clf.predict_proba(row), predict_values_recursive(clf, row))
+        assert np.array_equal(reg.predict(row), predict_values_recursive(reg, row))
         assert clf.predict_proba(row).shape == (1, 2)
         assert reg.predict(row).shape == (1,)
 
@@ -67,7 +73,7 @@ class TestTreeKernelEquivalence:
         tree = DecisionTreeClassifier().fit(X, y)
         assert tree.root_.is_leaf()
         assert tree.kernel_.n_nodes == 1
-        assert np.array_equal(tree.predict_proba(X), tree._predict_values_recursive(X))
+        assert np.array_equal(tree.predict_proba(X), predict_values_recursive(tree, X))
 
     def test_root_only_leaf_constant_features(self):
         X = np.full((15, 2), 3.0)
@@ -75,16 +81,16 @@ class TestTreeKernelEquivalence:
         tree = DecisionTreeClassifier().fit(X, y)
         assert tree.root_.is_leaf()
         probe = np.random.default_rng(1).normal(size=(10, 2))
-        assert np.array_equal(tree.predict_proba(probe), tree._predict_values_recursive(probe))
+        assert np.array_equal(tree.predict_proba(probe), predict_values_recursive(tree, probe))
         reg = DecisionTreeRegressor().fit(X, y)
         assert reg.root_.is_leaf()
-        assert np.array_equal(reg.predict(probe), reg._predict_values_recursive(probe))
+        assert np.array_equal(reg.predict(probe), predict_values_recursive(reg, probe))
 
     def test_apply_matches_recursive_leaves(self):
         X, y, _, X_eval = _random_problem(3)
         tree = DecisionTreeClassifier(max_depth=5, random_state=0).fit(X, y)
         kernel_leaves = tree.apply(X_eval)
-        recursive_leaves = [tree._predict_node(row) for row in X_eval]
+        recursive_leaves = [predict_node(tree, row) for row in X_eval]
         assert all(a is b for a, b in zip(kernel_leaves, recursive_leaves))
 
     def test_kernel_arrays_are_contiguous_and_consistent(self):
@@ -106,7 +112,7 @@ class TestForestKernelEquivalence:
             n_estimators=8, max_depth=5, random_state=seed
         ).fit(X, y)
         assert np.array_equal(
-            forest.predict_proba(X_eval), forest._predict_proba_recursive(X_eval)
+            forest.predict_proba(X_eval), predict_proba_recursive(forest, X_eval)
         )
 
     @pytest.mark.parametrize("seed", range(6))
@@ -115,7 +121,7 @@ class TestForestKernelEquivalence:
         forest = RandomForestRegressor(
             n_estimators=8, max_depth=5, random_state=seed
         ).fit(X, y)
-        assert np.array_equal(forest.predict(X_eval), forest._predict_recursive(X_eval))
+        assert np.array_equal(forest.predict(X_eval), predict_recursive(forest, X_eval))
 
     def test_noncontiguous_labels_align_to_forest_classes(self):
         rng = np.random.default_rng(11)
@@ -124,6 +130,6 @@ class TestForestKernelEquivalence:
         forest = RandomForestClassifier(n_estimators=10, random_state=0).fit(X, y)
         probe = rng.normal(size=(30, 3))
         proba = forest.predict_proba(probe)
-        assert np.array_equal(proba, forest._predict_proba_recursive(probe))
+        assert np.array_equal(proba, predict_proba_recursive(forest, probe))
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)
         assert set(np.unique(forest.predict(probe))) <= {3.0, 7.0, 11.0}

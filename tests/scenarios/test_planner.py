@@ -65,22 +65,6 @@ class TestBitwiseEquality:
         result = run_sweep(deal_session.model, space, top_k=1)
         assert list(result.kpi_values) == loop_kpis(deal_session.model, space)
 
-    def test_overlong_axis_falls_back_not_crashes(self, deal_session):
-        # axes beyond the kernel's int16 level arrays must take the chunked
-        # path (and still match the loop), not overflow
-        from repro.scenarios.kernel import MAX_AXIS_LEVELS
-
-        long_axis = Axis.values(
-            deal_session.drivers[0], np.linspace(-40.0, 40.0, MAX_AXIS_LEVELS + 1)
-        )
-        space = ScenarioSpace([long_axis])
-        assert not grid_kernel_applies(deal_session.model, space)
-        small = ScenarioSpace(
-            [Axis.values(deal_session.drivers[0], long_axis.amounts[:4])]
-        )
-        result = run_sweep(deal_session.model, small)
-        assert list(result.kpi_values) == loop_kpis(deal_session.model, small)
-
     def test_linear_model_fallback(self, marketing_session):
         space = ScenarioSpace(
             [Axis.span(d, -20.0, 20.0, 3) for d in marketing_session.drivers[:2]]
