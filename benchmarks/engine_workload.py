@@ -4,23 +4,30 @@ The workload mirrors the paper's heavy interactive moment — several users
 firing whole-dataset comparison sweeps at once — and answers three questions:
 
 * **speedup** — N distinct sweeps on N sessions submitted to a worker pool
-  versus the same sweeps dispatched synchronously one after another.  Two
-  serialized baselines are timed so the gain decomposes honestly: the
-  blocking synchronous protocol (``serial_s`` — what the seed backend did),
-  and the same jobs on a 1-worker pool (``engine_serial_s`` — isolating
-  worker concurrency from the chunked runners' cache-locality win, which is
-  real even on one core: the one-shot sweep stacks every perturbed matrix
-  into one huge kernel traversal whose working set falls out of cache);
+  versus the same sweeps scored one after another.  Two serialized baselines
+  are timed so the gain decomposes honestly: the one-shot comparison oracle
+  (``serial_s`` — what the seed backend did:
+  :func:`benchmarks.oracles.comparison_one_shot` stacks every perturbed
+  matrix of a sweep into one kernel traversal), and the same jobs on a
+  1-worker pool (``engine_serial_s`` — isolating worker concurrency from the
+  per-set scoring win, which is real even on one core: a one-driver set
+  re-walks only the lanes that test its driver);
 * **equality** — every job payload must be bitwise identical to the
-  synchronous response for the same analysis (the chunked checkpointed
-  runners may not move a single ulp);
+  synchronous response for the same analysis (the checkpointed work units
+  may not move a single ulp), and the oracle's KPIs to the synchronous
+  responses' (the synchronous pass is timed once, as the informational
+  ``sync_s``);
 * **coalescing** — identical sensitivity submissions made while the pool is
   busy must collapse onto one job and one execution.
 
-Thread-level speedup is bounded by the cores the process may use, so the
-summary records ``cpu_count`` alongside the measured ratio; callers asserting
-a floor should scale it accordingly (CI runners have ≥4 cores, dev sandboxes
-sometimes 1).
+The three serialized and parallel batches are timed in :data:`ROUNDS`
+rounds — the oracle first, then both engine batches, alternating which goes
+first — and ``speedup`` and ``worker_speedup`` are the medians of the
+per-round ratios, so load that drifts during a run shares each ratio's
+numerator and denominator.  Thread-level speedup is bounded by the cores the
+process may use, so the summary records ``cpu_count`` alongside the
+measured ratios; callers asserting a floor should scale it accordingly (CI
+runners have ≥4 cores, dev sandboxes sometimes 1).
 """
 
 from __future__ import annotations
@@ -28,9 +35,17 @@ from __future__ import annotations
 import json
 import os
 import time
+from statistics import median
 from typing import Any
 
-__all__ = ["run_engine_benchmark", "available_cpus"]
+import numpy as np
+
+from .oracles import comparison_one_shot
+
+__all__ = ["run_engine_benchmark", "available_cpus", "ROUNDS"]
+
+#: Rounds of (oracle, 1-worker, 4-worker) batches; the ratios are medians.
+ROUNDS = 3
 
 
 def available_cpus() -> int:
@@ -40,9 +55,25 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _async_round(server, session_ids, sweeps) -> None:
-    """Submit every sweep as a job and wait for all results (untimed warm
-    round: starts worker processes and ships fitted models per fingerprint)."""
+def _create_sessions(server, n_jobs: int, use_case: str, dataset_kwargs, seed: int) -> list[str]:
+    session_ids = []
+    for _ in range(n_jobs):
+        response = server.request(
+            "create_session", use_case=use_case, dataset_kwargs=dataset_kwargs, random_state=seed
+        )
+        if not response.ok:
+            raise RuntimeError(f"create_session failed: {response.error}")
+        session_ids.append(response.data["session_id"])
+    return session_ids
+
+
+def _models(server, session_ids) -> list[Any]:
+    """Each session's model manager (fetched or trained on first access)."""
+    return [server.registry.get(sid).state.require_session().model for sid in session_ids]
+
+
+def _run_jobs(server, session_ids, sweeps) -> list[dict[str, Any]]:
+    """Submit every sweep as a comparison job, then wait for every result."""
     job_ids = []
     for session_id, sweep in zip(session_ids, sweeps):
         response = server.request(
@@ -50,12 +81,21 @@ def _async_round(server, session_ids, sweeps) -> None:
             {"action": "comparison", "params": dict(sweep), "session_id": session_id},
         )
         if not response.ok:
-            raise RuntimeError(f"warm submit failed: {response.error}")
+            raise RuntimeError(f"submit failed: {response.error}")
         job_ids.append(response.data["job"]["job_id"])
+    results = []
     for job_id in job_ids:
         response = server.request("job_result", job_id=job_id, timeout_s=600.0)
         if not response.ok:
-            raise RuntimeError(f"warm job_result failed: {response.error}")
+            raise RuntimeError(f"job_result failed: {response.error}")
+        results.append(response.data["result"])
+    return results
+
+
+def _timed(function, *args) -> tuple[float, Any]:
+    started = time.perf_counter()
+    value = function(*args)
+    return time.perf_counter() - started, value
 
 
 def _sweep_amounts(job_index: int, amounts_per_job: int) -> list[float]:
@@ -82,7 +122,7 @@ def run_engine_benchmark(
 
     With ``executor="process"`` both servers (the measured pool and the
     1-worker serialized baseline) route the jobs through a process pool, and
-    an extra *async* warm round runs on each before timing so process
+    an extra untimed round of jobs runs on each before timing so process
     startup and the one-time model shipping don't pollute the measured
     ratios — the steady state is what users of a long-lived backend see.
     """
@@ -94,122 +134,72 @@ def run_engine_benchmark(
         engine_workers=workers,
         executor=executor,
     )
-    dataset_kwargs = get_use_case(use_case).size_kwargs(rows)
-
-    session_ids: list[str] = []
-    for _ in range(n_jobs):
-        response = server.request(
-            "create_session",
-            use_case=use_case,
-            dataset_kwargs=dataset_kwargs,
-            random_state=seed,
-        )
-        if not response.ok:
-            raise RuntimeError(f"create_session failed: {response.error}")
-        session_ids.append(response.data["session_id"])
-
-    sweeps = [
-        {"amounts": _sweep_amounts(index, amounts_per_job)}
-        for index in range(n_jobs)
-    ]
-
-    def sync_once(index: int):
-        response = server.request(
-            "comparison", session_id=session_ids[index], **sweeps[index]
-        )
-        if not response.ok:
-            raise RuntimeError(f"comparison failed: {response.error}")
-        return response.data
-
-    # warm-up: trains the (shared) model, memoises baselines, and yields the
-    # synchronous reference payloads the job results must match bitwise
-    references = [sync_once(index) for index in range(n_jobs)]
-
-    if executor == "process":
-        _async_round(server, session_ids, sweeps)
-
-    started = time.perf_counter()
-    for index in range(n_jobs):
-        sync_once(index)
-    serial_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    job_ids: list[str] = []
-    for index in range(n_jobs):
-        response = server.request(
-            "submit",
-            {
-                "action": "comparison",
-                "params": dict(sweeps[index]),
-                "session_id": session_ids[index],
-            },
-        )
-        if not response.ok:
-            raise RuntimeError(f"submit failed: {response.error}")
-        job_ids.append(response.data["job"]["job_id"])
-
-    results = []
-    for job_id in job_ids:
-        response = server.request("job_result", job_id=job_id, timeout_s=600.0)
-        if not response.ok:
-            raise RuntimeError(f"job_result failed: {response.error}")
-        results.append(response.data["result"])
-    parallel_s = time.perf_counter() - started
-
-    bitwise_equal = all(
-        json.dumps(result, sort_keys=True) == json.dumps(reference, sort_keys=True)
-        for result, reference in zip(results, references)
-    )
-    if not bitwise_equal:
-        raise RuntimeError("async job payloads diverged from the synchronous path")
-
-    # serialized-engine baseline: the identical jobs on a 1-worker pool
-    # (sessions share the trained models through the same model cache)
+    # sessions on both servers share the trained models through one cache
     serial_server = SystemDServer(
         registry=SessionRegistry(capacity=max(64, n_jobs)),
         model_cache=server.model_cache,
         engine_workers=1,
         executor=executor,
     )
-    serial_session_ids = []
-    for _ in range(n_jobs):
-        response = serial_server.request(
-            "create_session",
-            use_case=use_case,
-            dataset_kwargs=dataset_kwargs,
-            random_state=seed,
+    dataset_kwargs = get_use_case(use_case).size_kwargs(rows)
+    session_ids = _create_sessions(server, n_jobs, use_case, dataset_kwargs, seed)
+    serial_session_ids = _create_sessions(serial_server, n_jobs, use_case, dataset_kwargs, seed)
+    sweeps = [{"amounts": _sweep_amounts(index, amounts_per_job)} for index in range(n_jobs)]
+    managers = _models(server, session_ids)
+    _models(serial_server, serial_session_ids)  # fetched untimed, shared through the cache
+    for manager in managers:  # trains the shared model and memoises its baselines
+        manager.baseline_kpi()
+
+    def sync_pass() -> list[dict[str, Any]]:
+        references = []
+        for session_id, sweep in zip(session_ids, sweeps):
+            response = server.request("comparison", session_id=session_id, **sweep)
+            if not response.ok:
+                raise RuntimeError(f"comparison failed: {response.error}")
+            references.append(response.data)
+        return references
+
+    # the synchronous reference payloads the job results must match bitwise
+    sync_s, references = _timed(sync_pass)
+    reference_kpis = np.array(
+        [point["kpi_value"] for reference in references for point in reference["points"]]
+    )
+
+    def oracle_pass() -> list[float]:
+        return [
+            kpi
+            for manager, sweep in zip(managers, sweeps)
+            for kpi in comparison_one_shot(manager, manager.drivers, sweep["amounts"])
+        ]
+
+    def matches(results: list[dict[str, Any]]) -> bool:
+        return all(
+            json.dumps(result, sort_keys=True) == json.dumps(reference, sort_keys=True)
+            for result, reference in zip(results, references)
         )
-        if not response.ok:
-            raise RuntimeError(f"create_session failed: {response.error}")
-        serial_session_ids.append(response.data["session_id"])
-    for index in range(n_jobs):  # warm the per-session baselines
-        response = serial_server.request(
-            "comparison", session_id=serial_session_ids[index], **sweeps[index]
-        )
-        if not response.ok:
-            raise RuntimeError(f"warm-up comparison failed: {response.error}")
-    if executor == "process":
-        _async_round(serial_server, serial_session_ids, sweeps)
-    started = time.perf_counter()
-    serial_job_ids = []
-    for index in range(n_jobs):
-        response = serial_server.request(
-            "submit",
-            {
-                "action": "comparison",
-                "params": dict(sweeps[index]),
-                "session_id": serial_session_ids[index],
-            },
-        )
-        if not response.ok:
-            raise RuntimeError(f"submit failed: {response.error}")
-        serial_job_ids.append(response.data["job"]["job_id"])
-    for job_id in serial_job_ids:
-        response = serial_server.request("job_result", job_id=job_id, timeout_s=600.0)
-        if not response.ok:
-            raise RuntimeError(f"job_result failed: {response.error}")
-    engine_serial_s = time.perf_counter() - started
+
+    if executor == "process":  # start the workers and ship them the model, untimed
+        _run_jobs(server, session_ids, sweeps)
+        _run_jobs(serial_server, serial_session_ids, sweeps)
+
+    engine_batches = [
+        ("engine_serial_s", serial_server, serial_session_ids),
+        ("parallel_s", server, session_ids),
+    ]
+    rounds: list[dict[str, float]] = []
+    bitwise_equal = True
+    for index in range(ROUNDS):
+        serial_s, oracle_kpis = _timed(oracle_pass)
+        if np.array(oracle_kpis).tobytes() != reference_kpis.tobytes():
+            raise RuntimeError("the one-shot oracle diverged from the synchronous path")
+        timings = {"serial_s": serial_s}
+        for name, pool, ids in engine_batches if index % 2 == 0 else engine_batches[::-1]:
+            timings[name], results = _timed(_run_jobs, pool, ids, sweeps)
+            bitwise_equal = bitwise_equal and matches(results)
+        rounds.append(timings)
     serial_server.close()
+    if not bitwise_equal:
+        raise RuntimeError("async job payloads diverged from the synchronous path")
 
     # coalescing: park a sweep on session 0 (its job holds the session lock),
     # so identical sensitivity submissions cannot complete mid-loop — they
@@ -269,11 +259,14 @@ def run_engine_benchmark(
         "workers": workers,
         "amounts_per_job": amounts_per_job,
         "cpu_count": available_cpus(),
-        "serial_s": serial_s,
-        "engine_serial_s": engine_serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s if parallel_s else float("inf"),
-        "worker_speedup": engine_serial_s / parallel_s if parallel_s else float("inf"),
+        "rounds": ROUNDS,
+        "sync_s": sync_s,
+        "serial_s": median(r["serial_s"] for r in rounds),
+        "engine_serial_s": median(r["engine_serial_s"] for r in rounds),
+        "parallel_s": median(r["parallel_s"] for r in rounds),
+        "speedup": median(r["serial_s"] / r["parallel_s"] for r in rounds),
+        "worker_speedup": median(r["engine_serial_s"] / r["parallel_s"] for r in rounds),
+        "round_timings": rounds,
         "bitwise_equal": bitwise_equal,
         "coalescing": {
             "submissions": max(1, coalesce_submissions),

@@ -6,8 +6,10 @@ and ``from_records`` in :mod:`repro.frame`, tree and forest traversal in
 outside the package, as the oracles of the equivalence tests
 (``tests/frame/test_frame_kernels.py``, ``tests/ml/test_tree_kernel.py``)
 and the speedup benchmarks (``benchmarks/test_bench_frame_ops.py``,
-``benchmarks/test_bench_tree_kernels.py``).  The served system never runs
-them.
+``benchmarks/test_bench_tree_kernels.py``).  So does the one-shot comparison
+sweep, which stacks every perturbed matrix into one pass: the serial
+baseline of ``benchmarks/test_bench_engine.py``.  The served system never
+runs them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.perturbation import Perturbation
 from repro.frame import Column, DataFrame, infer_dtype
 from repro.frame.errors import TypeMismatchError
 from repro.frame.groupby import GroupBy
@@ -27,6 +30,7 @@ from repro.ml.tree import TreeNode
 __all__ = [
     "agg_rowwise",
     "build_groups_rowwise",
+    "comparison_one_shot",
     "from_records_rowwise",
     "join_rowwise",
     "predict_node",
@@ -194,3 +198,29 @@ def predict_recursive(forest, X: np.ndarray) -> np.ndarray:
     for tree in forest.estimators_:
         predictions += predict_values_recursive(tree, X)
     return predictions / len(forest.estimators_)
+
+
+# --------------------------------------------------------------------------- #
+# core: the one-shot comparison sweep
+# --------------------------------------------------------------------------- #
+def comparison_one_shot(
+    manager, drivers: Sequence[str], amounts: Sequence[float], mode: str = "percentage"
+) -> list[float]:
+    """KPI of every (driver, amount) point of a comparison sweep, driver-major.
+
+    Every perturbed matrix is stacked into one ``predict_rows_matrix`` pass
+    and each slice aggregated on its own; amount 0 reads the baseline KPI.
+    The values equal :func:`repro.core.sensitivity.run_comparison`'s bit for
+    bit.
+    """
+    X = manager.driver_matrix()
+    sweep = [(driver, float(amount)) for driver in drivers for amount in amounts]
+    moved = [
+        Perturbation(driver, amount, mode).apply_to_matrix(X, manager.drivers)
+        for driver, amount in sweep
+        if amount != 0
+    ]
+    rows = manager.predict_rows_matrix(np.vstack(moved)) if moved else None
+    n = X.shape[0]
+    kpis = iter(manager.kpi.aggregate(rows[i * n : (i + 1) * n]) for i in range(len(moved)))
+    return [manager.baseline_kpi() if amount == 0 else float(next(kpis)) for _, amount in sweep]

@@ -4,8 +4,9 @@ The ROADMAP's north star — heavy concurrent traffic — needs the backend to
 keep answering while long sweeps run.  This benchmark drives the workload of
 :func:`benchmarks.engine_workload.run_engine_benchmark`: four distinct comparison
 sweeps on four sessions, submitted to a 4-worker pool, against two serialized
-baselines (sequential synchronous requests, i.e. the seed's blocking
-behaviour, and the same jobs on a 1-worker pool).  It also verifies the two
+baselines (the one-shot comparison oracle run sweep after sweep, i.e. the
+seed's blocking behaviour, and the same jobs on a 1-worker pool), timed in
+paired rounds whose median ratios are gated.  It also verifies the two
 correctness properties the engine may never trade for speed:
 
 * every job payload is **bitwise identical** to the synchronous response for
@@ -21,13 +22,14 @@ Floors are CPU-aware: each asserted floor scales with
 skipped entirely when only one CPU is usable — there is no parallelism to
 measure there, only scheduling overhead.
 
-The headline ``speedup`` combines worker concurrency with the chunked
-runners' cache-locality win (the one-shot sweep stacks every perturbed
-matrix into one huge kernel traversal whose working set falls out of cache),
-so it holds even on one core.  Timings are written to ``BENCH_engine.json``
-for the thread run and ``BENCH_engine_process.json`` for the process run
-(paths overridable via ``BENCH_ENGINE_OUTPUT`` / ``BENCH_ENGINE_PROCESS_OUTPUT``);
-the CI ``bench`` job uploads both files as workflow artifacts.
+The headline ``speedup`` combines worker concurrency with the per-set
+scoring win (the one-shot oracle stacks every perturbed matrix into one huge
+full traversal; a job scores each one-driver set by re-walking only the lanes
+that test its driver), so it holds even on one core.  Timings are written to
+``BENCH_engine.json`` for the thread run and ``BENCH_engine_process.json`` for
+the process run (paths overridable via ``BENCH_ENGINE_OUTPUT`` /
+``BENCH_ENGINE_PROCESS_OUTPUT``); the CI ``bench`` job uploads both files as
+workflow artifacts.
 """
 
 from __future__ import annotations
@@ -62,11 +64,11 @@ OUTPUT_ENV = {
 
 
 def speedup_floor(executor: str) -> float:
-    """Floor on the headline speedup (async pool vs sequential synchronous
-    requests).  On >=2 usable cores the chunked runners plus real concurrency
-    must clear 2x; on a single core only the chunking win remains (measured
-    ~3.5x for threads; the process pool adds queue/IPC overhead on top, so
-    its single-core floor is a looser overhead guard)."""
+    """Floor on the headline speedup (async pool vs the one-shot oracle run
+    sweep after sweep).  On >=2 usable cores the per-set scoring plus real
+    concurrency must clear 2x; on a single core only the scoring win remains
+    (the process pool adds queue/IPC overhead on top, so its single-core
+    floor is a looser overhead guard)."""
     if available_cpus() >= 2:
         return 2.0
     return 1.5 if executor == "thread" else 1.2
@@ -112,7 +114,8 @@ def test_concurrent_sweeps_speedup_coalescing_and_artifact(executor):
             {
                 "executor": summary["executor"],
                 "cpus": summary["cpu_count"],
-                "serial_sync_s": round(summary["serial_s"], 3),
+                "serial_oracle_s": round(summary["serial_s"], 3),
+                "sync_s": round(summary["sync_s"], 3),
                 "serial_1worker_s": round(summary["engine_serial_s"], 3),
                 "parallel_4worker_s": round(summary["parallel_s"], 3),
                 "speedup": round(summary["speedup"], 2),
@@ -136,10 +139,11 @@ def test_concurrent_sweeps_speedup_coalescing_and_artifact(executor):
     ), coalescing
     assert coalescing["result_matches_sync"], coalescing
     # one execution of the sensitivity analysis serves every submitter: the
-    # engine ran exactly the 4 sweeps, 1 blocker, and 1 coalesced job (plus
-    # the untimed async warm round on the process pool)
+    # engine ran exactly the 4 sweeps per round, 1 blocker, and 1 coalesced
+    # job (plus the untimed async warm round on the process pool)
     warm_jobs = N_JOBS if executor == "process" else 0
-    assert summary["engine"]["executed_total"] == N_JOBS + 2 + warm_jobs, (
+    sweep_jobs = N_JOBS * summary["rounds"]
+    assert summary["engine"]["executed_total"] == sweep_jobs + 2 + warm_jobs, (
         summary["engine"]
     )
     assert summary["engine"]["coalesced_total"] == COALESCE_SUBMISSIONS - 1

@@ -154,7 +154,9 @@ def delta_timings(rounds: int = 5) -> dict:
     for driver in manager.drivers:
         perturbation = PerturbationSet.from_mapping({driver: 20.0})
         full_s = best_of(
-            lambda: manager.predict_rows_matrix(manager.perturbed_matrix(perturbation))
+            lambda: manager.predict_rows_matrix(
+                perturbation.apply_to_matrix(manager.driver_matrix(), manager.drivers)
+            )
         )
         delta_s = best_of(lambda: manager.predict_perturbed_rows(perturbation))
         speedups.append(full_s / delta_s)

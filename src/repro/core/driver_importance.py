@@ -38,6 +38,13 @@ from .sensitivity import INLINE
 
 __all__ = ["compute_driver_importance", "driver_importance_unit"]
 
+#: Sampling effort of the Monte-Carlo Shapley estimate.
+SHAPLEY_SAMPLES = 40
+SHAPLEY_PERMUTATIONS = 10
+
+#: Shuffles per driver for permutation importance.
+PERMUTATION_REPEATS = 3
+
 
 def _normalise_signed(scores: np.ndarray) -> np.ndarray:
     """Scale signed scores into [-1, 1] by the maximum absolute value."""
@@ -51,9 +58,6 @@ def compute_driver_importance(
     manager: ModelManager,
     *,
     verify: bool = True,
-    shapley_samples: int = 40,
-    shapley_permutations: int = 10,
-    permutation_repeats: int = 3,
     random_state: int | None = 0,
     checkpoint: Callable[[float], None] | None = None,
     executor=None,
@@ -67,10 +71,6 @@ def compute_driver_importance(
     verify:
         Whether to compute the Shapley / Pearson / Spearman / permutation
         verification (disable for latency benchmarks).
-    shapley_samples, shapley_permutations:
-        Sampling effort of the Monte-Carlo Shapley estimate.
-    permutation_repeats:
-        Shuffles per driver for permutation importance.
     random_state:
         Seed for the stochastic verification estimates.
     checkpoint:
@@ -91,13 +91,7 @@ def compute_driver_importance(
     ImportanceResult
         Drivers ordered most-to-least important by absolute importance.
     """
-    payload = {
-        "verify": bool(verify),
-        "shapley_samples": int(shapley_samples),
-        "shapley_permutations": int(shapley_permutations),
-        "permutation_repeats": int(permutation_repeats),
-        "random_state": random_state,
-    }
+    payload = {"verify": bool(verify), "random_state": random_state}
     [result] = (executor or INLINE).run_units(
         manager, [(driver_importance_unit, payload)], checkpoint=checkpoint
     )
@@ -147,8 +141,8 @@ def driver_importance_unit(
         shapley = global_shapley_importance(
             manager.model,
             X,
-            n_samples=payload["shapley_samples"],
-            n_permutations=payload["shapley_permutations"],
+            n_samples=SHAPLEY_SAMPLES,
+            n_permutations=SHAPLEY_PERMUTATIONS,
             signed=True,
             random_state=random_state,
         )
@@ -157,7 +151,7 @@ def driver_importance_unit(
             manager.model,
             X,
             y,
-            n_repeats=payload["permutation_repeats"],
+            n_repeats=PERMUTATION_REPEATS,
             scoring=_scoring_for(manager),
             random_state=random_state,
         )["importances_mean"]

@@ -10,7 +10,9 @@ unique) set of driver values achieving it.
 We search over *perturbation magnitudes* of the selected drivers — the same
 parametrisation the UI's perturbation view exposes — using the Bayesian
 optimiser from :mod:`repro.optimize` (or a named baseline for the ablation
-benchmark).  Constrained analysis (functionality 4) reuses this machinery with
+benchmark).  Each candidate is scored like any other perturbation set, by
+:meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch`.
+Constrained analysis (functionality 4) reuses this machinery with
 user-supplied bounds; see :mod:`repro.core.constrained`.
 """
 
@@ -213,9 +215,7 @@ def goal_inversion_unit(
         perturbations = PerturbationSet.from_mapping(
             dict(zip(chosen, (float(v) for v in point))), mode=mode
         )
-        # the optimiser probes sequentially, so each candidate is a single
-        # matrix-level evaluation against the cached baseline matrix
-        return manager.predict_kpi_matrix(manager.perturbed_matrix(perturbations))
+        return float(manager.predict_kpi_batch([perturbations])[0])
 
     if goal == "maximize":
         objective = lambda point: -kpi_of(point)  # noqa: E731

@@ -13,10 +13,11 @@ prediction on every perturbation.  :class:`ModelManager` owns that lifecycle:
 * predict the aggregate KPI value for any (possibly perturbed) frame — the
   single number behind each bar in the sensitivity view.
 
-The baseline pass of a forest also keeps the leaf every ``(tree, row)`` lane
-reached (int32, 4 bytes per lane), so a perturbation of one driver re-walks
-only the lanes whose baseline path tests that driver
-(:meth:`ModelManager.predict_perturbed_rows`; see :mod:`repro.ml.kernel`).
+Every perturbation set is scored by :meth:`ModelManager.predict_perturbed_rows`.
+The baseline pass of a forest keeps the leaf every ``(tree, row)`` lane reached
+(int32, 4 bytes per lane), so a set that perturbs one driver re-walks only the
+lanes whose baseline path tests that driver (see :mod:`repro.ml.kernel`); any
+other set takes a full pass.
 """
 
 from __future__ import annotations
@@ -171,16 +172,12 @@ class ModelManager:
         """Memoised ``float64`` design matrix of the session's dataset.
 
         The what-if hot path perturbs this matrix directly (see
-        :meth:`perturbed_matrix`) instead of copying frames, so it is
+        :meth:`predict_perturbed_rows`) instead of copying frames, so it is
         extracted once per manager.
         """
         if self._driver_matrix is None:
             self._driver_matrix = self.frame.to_matrix(self.drivers)
         return self._driver_matrix
-
-    def perturbed_matrix(self, perturbations) -> np.ndarray:
-        """The baseline driver matrix with ``perturbations`` applied."""
-        return perturbations.apply_to_matrix(self.driver_matrix(), self.drivers)
 
     def predict_rows_matrix(self, X: np.ndarray) -> np.ndarray:
         """Per-row predictions for an already-extracted design matrix.
@@ -214,7 +211,7 @@ class ModelManager:
         self, perturbations: PerturbationSet, start: int = 0, stop: int | None = None
     ) -> np.ndarray:
         """Per-row predictions for rows ``[start, stop)`` of the dataset under
-        ``perturbations`` — the scoring step of every sensitivity analysis.
+        ``perturbations`` — the one scoring step of every perturbation set.
 
         When :meth:`restart_feature` names a driver, only the ``(tree, row)``
         lanes whose baseline path tests it are re-traversed, from the first
@@ -237,27 +234,16 @@ class ModelManager:
         """Aggregate KPI value predicted for ``frame``."""
         return self.kpi.aggregate(self.predict_rows(frame))
 
-    def predict_kpi_matrix(self, X: np.ndarray) -> float:
-        """Aggregate KPI value predicted for a design matrix."""
-        return self.kpi.aggregate(self.predict_rows_matrix(X))
+    def predict_kpi_batch(self, sets: list[PerturbationSet]) -> np.ndarray:
+        """Aggregate KPI of the dataset under each of ``sets``, in order.
 
-    def predict_kpi_batch(self, matrices: list[np.ndarray]) -> np.ndarray:
-        """Aggregate KPI for many perturbed matrices in one model call.
-
-        Comparison sweeps build every perturbed matrix up front, stack them,
-        and run the tree kernels over the whole stack at once — one batched
-        traversal instead of one model call per (driver, amount) pair.
+        Each set is scored on its own through :meth:`predict_perturbed_rows`,
+        so a one-driver set on a forest takes the restart pass and no call
+        holds more than one perturbed copy of the dataset.
         """
-        if not matrices:
-            return np.array([])
-        rows = self.predict_rows_matrix(np.vstack(matrices))
-        kpis = np.empty(len(matrices))
-        start = 0
-        for index, matrix in enumerate(matrices):
-            stop = start + matrix.shape[0]
-            kpis[index] = self.kpi.aggregate(rows[start:stop])
-            start = stop
-        return kpis
+        return np.array(
+            [self.kpi.aggregate(self.predict_perturbed_rows(s)) for s in sets], dtype=np.float64
+        )
 
     def predict_row(self, frame: DataFrame, index: int) -> float:
         """Prediction for a single row of ``frame`` (per-data analysis)."""

@@ -22,25 +22,21 @@ the calling thread, :class:`~repro.engine.process.ProcessExecutor` across
 worker processes.  Row and perturbation-set splits are sized by
 :func:`unit_ranges`: at least one unit per executor worker and at most one
 chunk (:data:`SENSITIVITY_CHUNK_ROWS`, :data:`COMPARISON_CHUNK_MATRICES`)
-per unit.  Units only regroup rows and matrices whose predictions and
-aggregations are independent, so results are *bitwise identical* to the
-single-shot path.
+per unit.  Units only regroup rows and perturbation sets whose predictions
+and aggregations are independent, so results are *bitwise identical* on
+every executor.  A call without an executor runs its units on
+:data:`INLINE`; the checkpoint, when given, is called with the completed
+fraction once per unit, which both publishes progress and gives cooperative
+cancellation a place to raise.
 
-A *bare call* passes neither an executor nor a checkpoint (the synchronous
-actions and the plain :class:`~repro.core.session.WhatIfSession` API); it
-scores sensitivity and comparison in one single-shot pass.  A call with a
-checkpoint and no executor runs its units on :data:`INLINE`; the checkpoint
-is called with the completed fraction once per unit, which both publishes
-progress and gives cooperative cancellation a place to raise.
-
-Sensitivity scores rows through
-:meth:`~repro.core.model_manager.ModelManager.predict_perturbed_rows` — the
-bare call over every row, each unit over its row range — so every executor
-takes the same path.  When the set perturbs exactly one driver of a forest
-model, that method re-traverses only the ``(tree, row)`` lanes whose
-baseline path tests the driver (see :mod:`repro.ml.kernel`); the results are
-bitwise identical to a full pass.  ``repro_scoring_path_total`` counts the
-path once per :func:`run_sensitivity` call, in the calling process.
+Every unit scores through
+:meth:`~repro.core.model_manager.ModelManager.predict_perturbed_rows` — a
+sensitivity unit over its row range, a comparison unit set by set.  When a
+set perturbs exactly one driver of a forest model, that method re-traverses
+only the ``(tree, row)`` lanes whose baseline path tests the driver (see
+:mod:`repro.ml.kernel`); the results are bitwise identical to a full pass.
+``repro_scoring_path_total`` counts the path once per :func:`run_sensitivity`
+call, in the calling process.
 """
 
 from __future__ import annotations
@@ -72,7 +68,8 @@ _SCORING_PATHS = metrics.counter("repro_scoring_path_total")
 #: Rows per sensitivity work unit.
 SENSITIVITY_CHUNK_ROWS = 2048
 
-#: Perturbed matrices per comparison work unit.
+#: Perturbation sets per comparison work unit.  Each set is scored on its own,
+#: so the size sets only the grain of chunk events, checkpoints and dispatch.
 COMPARISON_CHUNK_MATRICES = 4
 
 
@@ -150,7 +147,7 @@ class InlineExecutor:
         return results
 
 
-#: The executor a call that passes a checkpoint but no executor runs on.
+#: The executor a call that passes no executor runs on.
 INLINE = InlineExecutor()
 
 
@@ -171,18 +168,9 @@ def perturbation_sets_unit(
     manager: ModelManager, payload: dict[str, Any], checkpoint: Callable[[float], None]
 ) -> np.ndarray:
     """Aggregate KPI of every perturbation set in ``payload["sets"]`` (their
-    ``to_list()`` forms), scored in one ``predict_kpi_batch`` call.
-
-    Each matrix is predicted and aggregated independently inside the batch,
-    so any grouping of sets into units yields the same values.
-    """
-    baseline = manager.driver_matrix()
-    return manager.predict_kpi_batch(
-        [
-            PerturbationSet.from_list(wire).apply_to_matrix(baseline, manager.drivers)
-            for wire in payload["sets"]
-        ]
-    )
+    ``to_list()`` forms), each scored on its own by ``predict_kpi_batch``, so
+    any grouping of sets into units yields the same values."""
+    return manager.predict_kpi_batch([PerturbationSet.from_list(w) for w in payload["sets"]])
 
 
 def _sensitivity_kpi_units(
@@ -254,8 +242,7 @@ def run_sensitivity(
         work unit with the completed fraction.
     executor:
         Optional executor for the row-range work units (default
-        :data:`INLINE` when a checkpoint is given).  Without either, the
-        perturbed prediction runs as one single-shot pass.
+        :data:`INLINE`).
     emit:
         Optional event publisher (``emit(type, data)``, the job context's
         :meth:`~repro.engine.job.JobContext.emit`); every finished unit
@@ -270,12 +257,9 @@ def run_sensitivity(
     original_kpi = manager.baseline_kpi()
     path = "full" if manager.restart_feature(perturbations) is None else "incremental"
     _SCORING_PATHS.labels("sensitivity", path).inc()
-    if executor is None and checkpoint is None:  # bare call: one single-shot pass
-        perturbed_kpi = manager.kpi.aggregate(manager.predict_perturbed_rows(perturbations))
-    else:
-        perturbed_kpi = _sensitivity_kpi_units(
-            manager, perturbations, executor or INLINE, checkpoint, emit or ignore
-        )
+    perturbed_kpi = _sensitivity_kpi_units(
+        manager, perturbations, executor or INLINE, checkpoint, emit or ignore
+    )
     return SensitivityResult(
         kpi=manager.kpi.name,
         original_kpi=original_kpi,
@@ -358,9 +342,7 @@ def run_comparison(
         Optional progress/cancellation callback, called once per work unit
         of (driver, amount) points with the completed fraction.
     executor:
-        Optional executor for those units (default :data:`INLINE` when a
-        checkpoint is given).  Without either, the whole sweep is scored in
-        one stacked kernel traversal.
+        Optional executor for those units (default :data:`INLINE`).
     emit:
         Optional event publisher; every finished unit publishes a
         ``comparison_chunk`` event with its scored (driver, amount, kpi)
@@ -381,24 +363,9 @@ def run_comparison(
     original_kpi = manager.baseline_kpi()
     sweep = [(driver, float(amount)) for driver in chosen for amount in amounts]
     work = [pair for pair in sweep if pair[1] != 0]
-    if executor is None and checkpoint is None:  # bare call: one stacked batch
-        baseline_matrix = manager.driver_matrix()
-        kpis = iter(
-            manager.predict_kpi_batch(
-                [
-                    Perturbation(driver, amount, mode).apply_to_matrix(
-                        baseline_matrix, manager.drivers
-                    )
-                    for driver, amount in work
-                ]
-            )
-        )
-    else:
-        kpis = iter(
-            _comparison_kpis_units(
-                manager, work, mode, executor or INLINE, checkpoint, emit or ignore
-            )
-        )
+    kpis = iter(
+        _comparison_kpis_units(manager, work, mode, executor or INLINE, checkpoint, emit or ignore)
+    )
     points = [
         ComparisonPoint(
             driver=driver,

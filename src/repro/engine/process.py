@@ -69,6 +69,13 @@ _START_METHOD = "spawn"
 #: Minimum per-unit progress delta a worker posts (keeps the queue quiet).
 _PROGRESS_DELTA = 0.01
 
+#: How long the parent waits on a group's queue before it reaps dead workers
+#: and republishes progress.
+_POLL_INTERVAL_S = 0.05
+
+#: Silence from every worker of a group for this long fails the group.
+_STALL_TIMEOUT_S = 300.0
+
 _WORKER_UNITS = metrics.counter("repro_worker_units_total")
 _WORKER_SHIPS = metrics.counter("repro_worker_model_ships_total")
 
@@ -180,15 +187,12 @@ class ProcessExecutor:
         *,
         workers: int = 4,
         name: str = "repro-proc",
-        poll_interval: float = 0.05,
-        stall_timeout: float = 300.0,
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = int(workers)
         self._name = name
-        self._poll_interval = float(poll_interval)
-        self._stall_timeout = float(stall_timeout)
+        self._stall_timeout = _STALL_TIMEOUT_S
         self._lock = threading.Lock()
         self._started = False
         self._stopping = False
@@ -397,7 +401,7 @@ class ProcessExecutor:
             last_message = time.monotonic()
             while len(results) < n_units:
                 try:
-                    message = group.queue.get(timeout=self._poll_interval)
+                    message = group.queue.get(timeout=_POLL_INTERVAL_S)
                 except queue.Empty:
                     self._reap_dead_workers(group)
                     publish()

@@ -33,12 +33,12 @@ array (one ``bincount``), one flat integer ``cumsum`` — exact in float64 —
 rebuilds the dense leaf-id surface, the ids gather the very leaf payload
 floats the per-scenario traversal would read, and trees accumulate in
 ensemble order.  Every ``(scenario, row)`` prediction — and every KPI
-aggregated from them — therefore matches
-:meth:`~repro.core.model_manager.ModelManager.predict_kpi_matrix` bit for
-bit.  The planner scores with batched
-:meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` units whenever
-the kernel does not apply (non-forest models, sampled or constrained spaces);
-the KPI values are identical either way, only the speed differs.
+aggregated from them — therefore matches a full pass
+(:meth:`~repro.core.model_manager.ModelManager.predict_rows_matrix`) bit for
+bit.  The planner scores each scenario through
+:meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` whenever the
+kernel does not apply (non-forest models, sampled or constrained spaces); the
+KPI values are identical either way, only the speed differs.
 """
 
 from __future__ import annotations

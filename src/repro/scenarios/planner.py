@@ -9,13 +9,13 @@ as work units (see :mod:`repro.core.sensitivity`) on the caller's executor:
   outermost axis, one per executor worker — inline that is the whole grid in
   one :func:`~repro.scenarios.kernel.grid_sweep_kpis` call;
 * every other space splits into lists of scenario perturbation sets, at most
-  :data:`SWEEP_CHUNK_SCENARIOS` per unit, each scored by one
-  :meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` call; a
-  grid block the kernel declines is re-scored the same way.
+  :data:`SWEEP_CHUNK_SCENARIOS` per unit, each set scored on its own by
+  :meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch`; a grid
+  block the kernel declines is re-scored the same way.
 
 The KPI values are **bitwise identical** to running the per-scenario
-sensitivity path (units only regroup matrices whose per-row predictions are
-independent), so a sweep is a pure batching win, never an approximation.
+sensitivity path (units only regroup scenarios whose per-row predictions are
+independent), so a sweep is never an approximation.
 
 Results land as a ranked :class:`SweepResult`:
 
@@ -59,9 +59,8 @@ _SCORING_PATHS = metrics.counter("repro_scoring_path_total")
 #: Goals a sweep can rank by.
 SWEEP_GOALS = ("maximize", "minimize")
 
-#: Scenarios per perturbation-set unit.  Each unit stacks this many perturbed
-#: copies of the driver matrix, so the working set stays in cache while the
-#: per-call overhead amortises across the whole unit.
+#: Scenarios per perturbation-set unit.  Each scenario is scored on its own,
+#: so the size sets only the grain of chunk events, checkpoints and dispatch.
 SWEEP_CHUNK_SCENARIOS = 64
 
 #: Largest sweep whose raw per-scenario KPI surface is embedded in
@@ -535,13 +534,9 @@ class SweepPlanner:
         baseline_rows = manager.baseline_rows()
         by_scenario = []
         scenario_of = {s.scenario_index: s for s in scenarios}
-        baseline_matrix = manager.driver_matrix()
         for position, entry in enumerate(top, start=1):
             scenario = scenario_of[entry.scenario_index]
-            matrix = self.space.perturbations(scenario).apply_to_matrix(
-                baseline_matrix, manager.drivers
-            )
-            rows = manager.predict_rows_matrix(matrix)
+            rows = manager.predict_perturbed_rows(self.space.perturbations(scenario))
             by_scenario.append(
                 {
                     "scenario_index": entry.scenario_index,

@@ -2,9 +2,10 @@
 
 :func:`~repro.scenarios.kernel.grid_sweep_kpis` decides each swept node per
 lane, from the row's perturbed levels in sorted order.  The property test
-compares it with :meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch`
-over every scenario's perturbed matrix, bit for bit, on random frames, forests
-and spaces.  The memory test bounds the kernel's transient allocation per grid
+compares it with a full pass
+(:meth:`~repro.core.model_manager.ModelManager.predict_rows_matrix`) over every
+scenario's perturbed matrix, bit for bit, on random frames, forests and
+spaces.  The memory test bounds the kernel's transient allocation per grid
 cell and per ``(tree, row)`` lane, so a table over the forest's nodes × rows
 cannot come back unnoticed.
 """
@@ -87,8 +88,16 @@ def test_grid_kernel_equals_the_list_path(manager, data):
     )
     kpis = grid_sweep_kpis(manager, space)
     assert kpis is not None
-    expected = manager.predict_kpi_batch(
-        [manager.perturbed_matrix(space.perturbations(s)) for s in space.scenarios()]
+    X = manager.driver_matrix()
+    expected = np.array(
+        [
+            manager.kpi.aggregate(
+                manager.predict_rows_matrix(
+                    space.perturbations(s).apply_to_matrix(X, manager.drivers)
+                )
+            )
+            for s in space.scenarios()
+        ]
     )
     assert kpis.tobytes() == expected.tobytes()
 
