@@ -2,9 +2,10 @@
 
 The repo's benchmark trajectory (tree kernels, frame kernels, async engine,
 scenario sweeps) is only worth anything if it cannot silently regress.  This
-comparator runs in CI right after the ``bench`` job produces fresh
-``BENCH_*.json`` files and fails the build when either of two things drifted
-from the committed snapshots in ``benchmarks/baselines/``:
+comparator runs in CI right after the tier-1 suite (which runs
+``benchmarks/``) writes fresh ``BENCH_*.json`` files, and fails the build
+when either of two things drifted from the committed snapshots in
+``benchmarks/baselines/``:
 
 * **speedup regressions** — every metric named in :data:`RATIO_METRICS` is a
   *ratio* (batched vs looped, kernel vs recursive, parallel vs serial).

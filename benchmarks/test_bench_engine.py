@@ -27,9 +27,7 @@ scoring win (the one-shot oracle stacks every perturbed matrix into one huge
 full traversal; a job scores each one-driver set by re-walking only the lanes
 that test its driver), so it holds even on one core.  Timings are written to
 ``BENCH_engine.json`` for the thread run and ``BENCH_engine_process.json`` for
-the process run (paths overridable via ``BENCH_ENGINE_OUTPUT`` /
-``BENCH_ENGINE_PROCESS_OUTPUT``); the CI ``bench`` job uploads both files as
-workflow artifacts.
+the process run; CI uploads both files as workflow artifacts.
 """
 
 from __future__ import annotations
@@ -57,10 +55,7 @@ EXECUTORS = ["thread"] + (["process"] if ProcessExecutor.available() else [])
 
 #: Output artifact per executor (thread keeps the historical name so the
 #: regression baseline stays comparable across this change).
-OUTPUT_ENV = {
-    "thread": ("BENCH_ENGINE_OUTPUT", "BENCH_engine.json"),
-    "process": ("BENCH_ENGINE_PROCESS_OUTPUT", "BENCH_engine_process.json"),
-}
+OUTPUT = {"thread": "BENCH_engine.json", "process": "BENCH_engine_process.json"}
 
 
 def speedup_floor(executor: str) -> float:
@@ -167,8 +162,7 @@ def test_concurrent_sweeps_speedup_coalescing_and_artifact(executor):
             f"the {min_worker_speedup}x floor ({summary['cpu_count']} usable cpus)"
         )
 
-    env_var, default = OUTPUT_ENV[executor]
-    path = os.environ.get(env_var, default)
+    path = OUTPUT[executor]
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
     assert os.path.exists(path)

@@ -10,9 +10,8 @@ reductions sum in a different order than ``np.nansum``'s pairwise scheme),
 and times both paths at 50k rows, requiring a ≥5× speedup on group-by-agg
 and inner join.
 
-Timings are written to ``BENCH_frame_ops.json`` (path overridable via the
-``BENCH_FRAME_OUTPUT`` environment variable); the CI ``bench`` job uploads
-that file as a workflow artifact alongside the tree-kernel timings.
+Timings are written to ``BENCH_frame_ops.json``; CI uploads that file as a
+workflow artifact alongside the tree-kernel timings.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ GROUP_KEYS = {
 TIMING_ROWS = 50_000
 TIMING_GROUPS = 500
 MIN_SPEEDUP = 5.0
+OUTPUT = "BENCH_frame_ops.json"
 
 
 def _assert_frames_close(actual: DataFrame, expected: DataFrame) -> None:
@@ -69,18 +69,17 @@ def _assert_frames_close(actual: DataFrame, expected: DataFrame) -> None:
 
 def _write_record(name: str, record: dict) -> None:
     """Merge one benchmark record into the shared JSON artifact."""
-    path = os.environ.get("BENCH_FRAME_OUTPUT", "BENCH_frame_ops.json")
     data: dict = {}
-    if os.path.exists(path):
+    if os.path.exists(OUTPUT):
         try:
-            with open(path) as handle:
+            with open(OUTPUT) as handle:
                 loaded = json.load(handle)
             if isinstance(loaded, dict):
                 data = loaded
         except (json.JSONDecodeError, OSError):
             data = {}
     data[name] = record
-    with open(path, "w") as handle:
+    with open(OUTPUT, "w") as handle:
         json.dump(data, handle, indent=2)
         handle.write("\n")
 
@@ -256,8 +255,7 @@ def test_from_records_round_trip_on_timing_frame():
 
 
 def test_artifact_written_after_speedup_tests():
-    path = os.environ.get("BENCH_FRAME_OUTPUT", "BENCH_frame_ops.json")
-    with open(path) as handle:
+    with open(OUTPUT) as handle:
         data = json.load(handle)
     assert set(data) >= {"groupby_agg", "inner_join"}
     for record in data.values():

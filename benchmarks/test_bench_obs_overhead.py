@@ -29,7 +29,7 @@ invariants the regression gate keeps forever:
 
 The raw millisecond numbers are informational (wall clock on shared runners
 is noisy); only the two booleans gate.  Results land in
-``BENCH_obs_overhead.json`` (override via ``BENCH_OBS_OVERHEAD_OUTPUT``).
+``BENCH_obs_overhead.json``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import gc
 import json
 import math
-import os
 import time
 from statistics import median
 
@@ -52,6 +51,7 @@ ROUNDS = 7
 PAIRS_PER_ROUND = 7
 MAX_BATCHES = 3
 OVERHEAD_BUDGET_PCT = 3.0
+OUTPUT = "BENCH_obs_overhead.json"
 
 PARAMS = {"perturbations": {"Open Marketing Email": 25.0, "Call": -10.0}}
 
@@ -178,8 +178,7 @@ def test_observability_overhead_and_neutrality():
         f"{summary['disabled_first_overhead_pct']:+.2f}%), bitwise_identical: {bitwise_identical}"
     )
 
-    path = os.environ.get("BENCH_OBS_OVERHEAD_OUTPUT", "BENCH_obs_overhead.json")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
 
     assert bitwise_identical

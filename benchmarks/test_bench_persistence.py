@@ -26,15 +26,13 @@ the regression gate keeps forever:
   journaled events.  Replay speed is reported (``replay_events_per_s``) but
   informational: wall clock on shared runners is noise, correctness is not.
 
-Results land in ``BENCH_persistence.json`` (override via
-``BENCH_PERSISTENCE_OUTPUT``).
+Results land in ``BENCH_persistence.json``.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -52,6 +50,7 @@ ROUNDS = 7
 MAX_BATCHES = 3
 OVERHEAD_BUDGET_PCT = 10.0
 REPLAY_EVENTS = 10_000
+OUTPUT = "BENCH_persistence.json"
 
 DRIVER = "Open Marketing Email"
 
@@ -217,8 +216,7 @@ def test_persistence_overhead_and_replay():
         f"bitwise: {summary['replay_bitwise']}"
     )
 
-    path = os.environ.get("BENCH_PERSISTENCE_OUTPUT", "BENCH_persistence.json")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
 
     assert summary["replay_bitwise"]

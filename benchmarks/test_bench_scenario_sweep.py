@@ -19,9 +19,8 @@ Two properties are pinned:
   grid traverse each tree once instead of once per scenario — so it does not
   depend on core count).
 
-Timings are written to ``BENCH_scenario_sweep.json`` (path overridable via
-``BENCH_SWEEP_OUTPUT``); the CI ``bench`` job uploads the file and the
-bench-regression gate compares it against the committed baseline.
+Timings are written to ``BENCH_scenario_sweep.json``; CI uploads the file
+and the bench-regression gate compares it against the committed baseline.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .conftest import print_table
 from .sweep_workload import run_sweep_benchmark
 
 USE_CASE = "deal_closing"
+OUTPUT = "BENCH_scenario_sweep.json"
 ROWS = 400
 LEVELS = (12, 11, 10)
 TOP_K = 10
@@ -78,7 +78,6 @@ def test_sweep_speedup_bitwise_equality_and_artifact():
         f"sweep speedup {summary['speedup']:.2f}x below the {MIN_SPEEDUP}x floor"
     )
 
-    path = os.environ.get("BENCH_SWEEP_OUTPUT", "BENCH_scenario_sweep.json")
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(OUTPUT, "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2)
-    assert os.path.exists(path)
+    assert os.path.exists(OUTPUT)

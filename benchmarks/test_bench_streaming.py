@@ -22,9 +22,8 @@ protocol on the same workload, over a real HTTP socket:
 The sweep is pinned to the chunked scoring path (the grid kernel scores the
 whole space inside one C call and so publishes no partial frontiers) with
 a small chunk size, giving the stream ~8 incremental frontiers to carry.
-Results land in ``BENCH_streaming.json`` (override via
-``BENCH_STREAMING_OUTPUT``); CI uploads the file and gates on the equality
-metrics only.
+Results land in ``BENCH_streaming.json``; CI uploads the file and gates on
+the equality metrics only.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ ROWS = 2000
 WORKERS = 2
 CHUNK_SCENARIOS = 4
 POLL_INTERVAL_S = 0.05
+OUTPUT = "BENCH_streaming.json"
 
 #: Two equal-size spaces (27 scenarios each) so the polled and streamed runs
 #: never coalesce onto one job.
@@ -81,10 +81,11 @@ def call(httpd, method: str, path: str, body: dict | None = None, timeout=180.0)
         return json.loads(response.read())
 
 
-def submit_sweep(httpd, space) -> tuple[str, int]:
-    envelope = call(httpd, "POST", f"{SESSION}/sweeps", {"space": space})
+def submit_sweep(httpd, space) -> str:
+    body = {"action": "run_sweep", "params": {"space": space}}
+    envelope = call(httpd, "POST", f"{SESSION}/jobs", body)
     assert envelope["ok"], envelope["error"]
-    return envelope["data"]["job"]["job_id"], envelope["data"]["space_size"]
+    return envelope["data"]["job"]["job_id"]
 
 
 def fetch_result(httpd, job_id: str) -> dict:
@@ -162,10 +163,11 @@ def test_streaming_beats_polling_to_first_results(chunked_sweeps):
         loaded = call(httpd, "PUT", f"{SESSION}/dataset", body)
         assert loaded["ok"], loaded["error"]
 
-        poll_job_id, space_size = submit_sweep(httpd, POLL_SPACE)
+        poll_job_id = submit_sweep(httpd, POLL_SPACE)
         polled = poll_until_done(httpd, poll_job_id)
+        space_size = polled["result"]["n_space"]
 
-        stream_job_id, _ = submit_sweep(httpd, STREAM_SPACE)
+        stream_job_id = submit_sweep(httpd, STREAM_SPACE)
         streamed = stream_until_done(httpd, stream_job_id)
         polled_stream_job = fetch_result(httpd, stream_job_id)
 
@@ -229,10 +231,9 @@ def test_streaming_beats_polling_to_first_results(chunked_sweeps):
         assert streamed["chunks"] == -(-space_size // CHUNK_SCENARIOS)
         assert streamed["events"] >= streamed["chunks"] + 3  # queued/started/done
 
-        path = os.environ.get("BENCH_STREAMING_OUTPUT", "BENCH_streaming.json")
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(OUTPUT, "w", encoding="utf-8") as handle:
             json.dump(summary, handle, indent=2)
-        assert os.path.exists(path)
+        assert os.path.exists(OUTPUT)
     finally:
         httpd.shutdown()
         httpd.backend.close()

@@ -290,9 +290,7 @@ class Job:
             self.attached += 1
 
     @classmethod
-    def from_snapshot(
-        cls, snapshot: dict[str, Any], *, params: dict[str, Any] | None = None
-    ) -> "Job":
+    def from_snapshot(cls, snapshot: dict[str, Any]) -> "Job":
         """Rebuild a terminal job from its persisted ``to_dict`` snapshot.
 
         The snapshot becomes the job's :attr:`frozen` payload; lifecycle
@@ -308,7 +306,7 @@ class Job:
         job = cls(
             job_id=str(snapshot["job_id"]),
             action=str(snapshot.get("action", "")),
-            params=dict(params or {}),
+            params={},
             session_id=str(snapshot.get("session_id", "")),
             priority=int(snapshot.get("priority", 0)),
             state=state,

@@ -37,10 +37,12 @@ class JobStore:
     """Thread-safe map from job id to :class:`~repro.engine.job.Job`.
 
     Every tracked job is journaled to a :class:`~repro.persist.StateBackend`
-    — a light ``pending`` record at registration, the full result-bearing
-    snapshot at the terminal transition — so ``job_result`` payloads survive
-    a restart when the backend is durable (:meth:`restore`).  The default
-    in-memory store keeps records only for the life of the process.
+    as its ``to_dict`` snapshot — a light ``pending`` record at registration,
+    the full result-bearing snapshot at the terminal transition — so
+    ``job_result`` payloads survive a restart when the backend is durable
+    (:meth:`restore`).  Params are not journaled: a restored job only
+    reports its snapshot.  The default in-memory store keeps records only
+    for the life of the process.
 
     Parameters
     ----------
@@ -75,14 +77,6 @@ class JobStore:
         self._interrupted_total = 0
 
     # ------------------------------------------------------------------ #
-    def _job_record(self, job: Job, *, include_result: bool) -> dict[str, Any]:
-        """The journaled form of a job: its snapshot plus the raw params
-        (``to_dict`` omits params, but restore needs them for filters like
-        ``sweep_result``'s space-hash lookup)."""
-        record = job.to_dict(include_result=include_result)
-        record["params"] = job.params
-        return record
-
     def restore(self) -> int:
         """Materialise journaled jobs at engine startup.
 
@@ -92,9 +86,12 @@ class JobStore:
         clients polling forever.  Every record then becomes a frozen
         :class:`Job` whose snapshot (durations and results included) is
         reported verbatim, so recovered ``job_result`` payloads are
-        bitwise-identical to pre-restart ones.  Recovered jobs enrol in the
-        finished-retention LRU as the oldest entries (their monotonic
-        submission clocks did not survive; they order by job id at epoch 0).
+        bitwise-identical to pre-restart ones.  A restored job has no params:
+        records journal only the ``to_dict`` snapshot, and a ``params`` key
+        in a record written by an older version is dropped.  Recovered jobs
+        enrol in the finished-retention LRU as the oldest entries (their
+        monotonic submission clocks did not survive; they order by job id at
+        epoch 0).
         Returns the number of jobs restored.
         """
         with self._lock:
@@ -104,8 +101,8 @@ class JobStore:
             records = sorted(self.backend.load_jobs(), key=lambda r: r["job_id"])
             for record in records:
                 snapshot = dict(record["snapshot"])
-                params = snapshot.pop("params", {})
-                job = Job.from_snapshot(snapshot, params=params)
+                snapshot.pop("params", None)
+                job = Job.from_snapshot(snapshot)
                 self._jobs[job.job_id] = job
                 self._finished_order[job.job_id] = None
                 self._restored_total += 1
@@ -134,9 +131,7 @@ class JobStore:
                         return job, True
             job = factory()
             job.journal = self._journal_terminal
-            self.backend.save_job(
-                job.job_id, job.state, self._job_record(job, include_result=False)
-            )
+            self.backend.save_job(job.job_id, job.state, job.to_dict(include_result=False))
             self._jobs[job.job_id] = job
             if key:
                 self._inflight[key] = job.job_id
@@ -164,9 +159,7 @@ class JobStore:
         a write that raises turns the job ``failed`` instead.
         """
         with self._lock:
-            self.backend.save_job(
-                job.job_id, job.state, self._job_record(job, include_result=True)
-            )
+            self.backend.save_job(job.job_id, job.state, job.to_dict(include_result=True))
 
     def mark_finished(self, job: Job) -> None:
         """Record that ``job`` reached a terminal state: release its coalesce

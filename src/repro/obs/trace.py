@@ -4,7 +4,7 @@ A *trace* is one user-visible interaction (an HTTP request and everything it
 caused); a *span* is one named segment of it.  Spans nest through a
 contextvar, so the active span is per-thread and per-task with no plumbing:
 
-    with span("request", action="sweep"):
+    with span("request", action="submit"):
         ...
         with span("job", job_id=job_id):   # parents onto "request"
             ...

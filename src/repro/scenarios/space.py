@@ -17,16 +17,15 @@ large to exhaust:
 Optional **constraint predicates** prune infeasible combinations before any
 model evaluation (e.g. a marketing team that can fund at most +50 points of
 total change).  Spaces canonicalise — axes are kept sorted by driver name —
-so the same set of axes always enumerates in the same order, serialises to
-the same JSON, and hashes to the same :meth:`ScenarioSpace.space_hash`; the
-server coalesces concurrent sweeps of identical spaces on that hash.
+so the same set of axes always enumerates in the same order and serialises
+to the same :meth:`ScenarioSpace.to_dict`; the server submits a sweep job
+with that canonical form, so concurrent sweeps of one space coalesce however
+their axes were listed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -162,14 +161,22 @@ class Axis:
 
         Accepts either an explicit ``amounts`` list or the grid shorthand
         ``{"start": -40, "stop": 40, "step": 20}`` / the span shorthand
-        ``{"start": -40, "stop": 40, "num": 5}``.
+        ``{"start": -40, "stop": 40, "num": 5}``.  A payload that is not an
+        object, or ``amounts`` that is not a list, raises ``ValueError``.
         """
+        if not isinstance(payload, Mapping):
+            raise ValueError(f"an axis must be an object, got {type(payload).__name__}")
         driver = payload.get("driver")
         if not driver:
             raise ValueError("axis payload needs a 'driver'")
         mode = payload.get("mode", "percentage")
         if "amounts" in payload:
-            return cls.values(str(driver), payload["amounts"], mode=mode)
+            amounts = payload["amounts"]
+            if not isinstance(amounts, list):
+                raise ValueError(
+                    f"axis {driver!r} needs 'amounts' as a list, got {type(amounts).__name__}"
+                )
+            return cls.values(str(driver), amounts, mode=mode)
         if "step" in payload:
             return cls.grid(
                 str(driver),
@@ -248,7 +255,10 @@ class BudgetConstraint:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "BudgetConstraint":
         """Reconstruct from :meth:`to_dict` output."""
-        return cls.of(payload["limit"], payload.get("weights"))
+        weights = payload.get("weights")
+        if weights is not None and not isinstance(weights, Mapping):
+            raise ValueError(f"budget 'weights' must be an object, got {type(weights).__name__}")
+        return cls.of(payload["limit"], weights)
 
 
 @dataclass(frozen=True)
@@ -274,8 +284,8 @@ class ScenarioSpace:
     ----------
     axes:
         One :class:`Axis` per driver.  Axes are kept sorted by driver name so
-        equal axis sets enumerate, serialise, and hash identically regardless
-        of the order the caller listed them in.
+        equal axis sets enumerate and serialise identically regardless of the
+        order the caller listed them in.
     constraints:
         Feasibility predicates over ``{driver: amount}`` mappings; scenarios
         any predicate rejects are pruned before evaluation.  Use the
@@ -319,6 +329,8 @@ class ScenarioSpace:
     def _validate_sample(sample: Mapping[str, Any] | None) -> dict[str, Any] | None:
         if sample is None:
             return None
+        if not isinstance(sample, Mapping):
+            raise ValueError(f"a sampling plan must be an object, got {type(sample).__name__}")
         n = int(sample.get("n", 0))
         if n < 1:
             raise ValueError(f"sampling needs n >= 1, got {sample.get('n')!r}")
@@ -465,7 +477,7 @@ class ScenarioSpace:
     def from_dict(cls, payload: Mapping[str, Any]) -> "ScenarioSpace":
         """Reconstruct a space from its wire form (see :meth:`to_dict`)."""
         axes_payload = payload.get("axes")
-        if not axes_payload:
+        if not isinstance(axes_payload, list) or not axes_payload:
             raise ValueError("scenario space payload needs a non-empty 'axes' list")
         axes = [Axis.from_dict(item) for item in axes_payload]
         constraints: list[Callable[[Mapping[str, float]], bool]] = []
@@ -479,17 +491,6 @@ class ScenarioSpace:
                     "can travel over the wire"
                 )
         return cls(axes, constraints=constraints, sample=payload.get("sample"))
-
-    def space_hash(self) -> str:
-        """Stable digest of the canonical space (used for sweep coalescing).
-
-        Two spaces built from the same axes, constraints, and sampling plan —
-        in any listing order — hash identically; the engine coalesces
-        concurrent sweep submissions for the same session, model fingerprint,
-        and space hash onto one job.
-        """
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.blake2b(canonical.encode(), digest_size=16).hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ScenarioSpace({self.describe()})"

@@ -453,7 +453,7 @@ def _declared_levels(axis: Any) -> float:
 
 
 def _parse_scenario_space(params: dict[str, Any]):
-    """Parse and canonicalise the ``space`` parameter of sweep actions.
+    """Parse the ``space`` parameter of ``run_sweep`` into a scenario space.
 
     The scenario cap is checked on the payload before any axis is built: a
     step grid's amounts are materialised eagerly, so a huge declared grid
@@ -483,13 +483,19 @@ def _parse_scenario_space(params: dict[str, Any]):
             _check_cap("scenario grid size", math.prod(levels), MAX_SCENARIOS)
     try:
         return ScenarioSpace.from_dict(payload)
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ProtocolError(f"invalid scenario space: {exc}") from exc
 
 
-def _sweep_scenarios(space: Any) -> int:
-    """Most scenarios a sweep of ``space`` scores: its grid, or its sample."""
-    return min(space.size, space.sample["n"]) if space.sample else space.size
+def _canonical_sweep_params(params: dict[str, Any]) -> dict[str, Any]:
+    """A ``run_sweep`` submission's params with ``space`` in its canonical
+    wire form (axes sorted by driver, grids expanded to their amounts).
+
+    Spaces that list the same axes in any order then submit identical params
+    and coalesce onto one job; a malformed space answers 400 and an over-cap
+    one 413 before anything is queued.
+    """
+    return {**params, "space": _parse_scenario_space(params).to_dict()}
 
 
 def handle_run_sweep(
@@ -502,13 +508,17 @@ def handle_run_sweep(
     """Scenario-space sweep: score a whole space in batched matrix form.
 
     The result auto-records into the session's scenario ledger.  Submitted
-    through the ``sweep`` action this runs as a chunk-checkpointed,
-    cancellable engine job; as a synchronous ``run_sweep`` request it blocks
-    like any other analysis action.
+    through ``submit`` (``POST .../jobs``) this runs as a chunk-checkpointed,
+    cancellable engine job whose space :func:`_canonical_sweep_params` has
+    already canonicalised; as a synchronous in-process request it blocks
+    like any other analysis action.  The scenarios x rows cap is checked
+    here, against the rows the session has loaded when the sweep runs.
     """
     session = state.require_session()
     space = _parse_scenario_space(params)
-    _check_scenario_rows(_sweep_scenarios(space), session)
+    # the most scenarios the sweep scores: its grid, or its sample
+    scenarios = min(space.size, space.sample["n"]) if space.sample else space.size
+    _check_scenario_rows(scenarios, session)
     try:
         result = session.sweep(
             space,
@@ -822,7 +832,9 @@ def handle_submit(server: "SystemDServer", params: dict[str, Any]) -> dict[str, 
 
     Identical in-flight submissions (same session, model fingerprint, action,
     and params) coalesce onto one job; ``coalesced`` reports whether that
-    happened.  Poll with ``job_status`` / fetch with ``job_result``.
+    happened.  A ``run_sweep`` space is canonicalised first, so sweeps of one
+    space coalesce whatever order their axes are listed in.  Poll with
+    ``job_status`` / fetch with ``job_result``.
     """
     action = params.get("action")
     if not action:
@@ -830,6 +842,8 @@ def handle_submit(server: "SystemDServer", params: dict[str, Any]) -> dict[str, 
     job_params = params.get("params", {})
     if not isinstance(job_params, dict):
         raise ProtocolError("'params' must be an object")
+    if action == "run_sweep":
+        job_params = _canonical_sweep_params(job_params)
     job, coalesced = server.engine.submit(
         str(action),
         job_params,
@@ -919,67 +933,6 @@ def handle_list_jobs(server: "SystemDServer", params: dict[str, Any]) -> dict[st
         offset=offset,
         engine=server.engine.stats(),
     )
-
-
-def handle_sweep(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
-    """Queue a scenario-space sweep as a background engine job.
-
-    The space is parsed and re-serialised to its canonical wire form before
-    submission, so two clients describing the same space — axes in any
-    order — submit byte-identical job params and coalesce onto one job (the
-    engine's coalesce key covers the session, the model fingerprint, and the
-    canonical params, which embed the space hash).  Returns the job snapshot,
-    the ``space_hash``, and whether the submission coalesced; fetch the
-    ranked result with ``sweep_result``.
-    """
-    space = _parse_scenario_space(params)
-    session = server._entry_for(_resolve_session_id(params)).state.session
-    if session is not None:  # an unloaded session's job fails on its own
-        _check_scenario_rows(_sweep_scenarios(space), session)
-    job_params: dict[str, Any] = {
-        "space": space.to_dict(),
-        "space_hash": space.space_hash(),
-        "goal": str(params.get("goal", "maximize")),
-        "top_k": _int_param(params, "top_k", 10),
-    }
-    if params.get("cohort") is not None:
-        job_params["cohort"] = str(params["cohort"])
-    if params.get("track_as") is not None:
-        job_params["track_as"] = str(params["track_as"])
-    submitted = handle_submit(server, {**params, "action": "run_sweep", "params": job_params})
-    return {**submitted, "space_hash": job_params["space_hash"], "space_size": space.size}
-
-
-def handle_sweep_result(server: "SystemDServer", params: dict[str, Any]) -> dict[str, Any]:
-    """Fetch a sweep job's ranked result.
-
-    Address the job by the ``space_hash`` that ``sweep`` returned (the most
-    recently submitted sweep job of the request's session for that hash), or
-    by ``job_id``.  A hash wins over a job id, so a job id sent alongside
-    the route's hash cannot reach another session's job.  Waiting semantics
-    match ``job_result``.
-    """
-    job_id = params.get("job_id")
-    space_hash = params.get("space_hash")
-    if space_hash:
-        # resolve the session exactly like submission does: an omitted id
-        # means the default session, never "any session with this hash"
-        session_id = _resolve_session_id(params)
-        candidates = [
-            job
-            for job in server.engine.store.list_jobs(session_id=session_id)
-            if job.action == "run_sweep"
-            and job.params.get("space_hash") == space_hash
-        ]
-        if not candidates:
-            raise NotFoundError(
-                f"no sweep job found for space hash {space_hash!r} (finished jobs "
-                "are retained LRU; it may have been evicted)"
-            )
-        job_id = candidates[-1].job_id
-    elif not job_id:
-        raise ProtocolError("either 'job_id' or 'space_hash' is required for sweep_result")
-    return handle_job_result(server, {**params, "job_id": job_id})
 
 
 # --------------------------------------------------------------------------- #
@@ -1080,8 +1033,8 @@ OPERATIONS: tuple[Operation, ...] = (
     Operation("constrained", handle_constrained,
               "(G)+(I) goal inversion within per-driver bounds", job=True),
     Operation("run_sweep", handle_run_sweep,
-              "score and rank a whole scenario space (`sweep` queues it as a job)",
-              job=True, pool=True),
+              "score and rank a whole scenario space; sweeps of one space coalesce "
+              "in any axis order", job=True, pool=True),
     Operation("list_scenarios", handle_list_scenarios,
               "the scenarios (options) tracked so far (`?limit=&offset=`)",
               route="GET /api/v1/sessions/{sid}/scenarios"),
@@ -1103,12 +1056,6 @@ OPERATIONS: tuple[Operation, ...] = (
     Operation("job_events", None,
               "**SSE stream** of the job's events (`Last-Event-ID` or `?after=` resumes)",
               route="GET /api/v1/sessions/{sid}/jobs/{jid}/events"),
-    Operation("sweep", handle_sweep,
-              "queue a scenario-space sweep as a job; identical spaces coalesce",
-              scope="server", route="POST /api/v1/sessions/{sid}/sweeps", status=201),
-    Operation("sweep_result", handle_sweep_result,
-              "a sweep job's ranked result, by space hash or job id",
-              scope="server", route="GET /api/v1/sessions/{sid}/sweeps/{space_hash}"),
     # -- ledger versions and durable state
     Operation("create_version", handle_create_version,
               "snapshot the scenario ledger as an immutable, named version",

@@ -1,7 +1,9 @@
 """Protocol-level sweep-job tests: coalescing, cancellation, progress.
 
-Deterministic concurrency control mirrors ``test_engine``: the sweep's
-batched scoring is forced onto the chunked fallback path (tiny chunks) and
+Every sweep is a ``run_sweep`` job submitted through ``submit``, whose space
+is canonicalised before the engine hashes the params.  Deterministic
+concurrency control mirrors ``test_engine``: the sweep's batched scoring is
+forced onto the chunked fallback path (tiny chunks) and
 ``ModelManager.predict_kpi_batch`` is wrapped with an event barrier, so
 "cancel mid-chunk" and "inspect progress mid-run" never race the worker.
 """
@@ -14,8 +16,13 @@ import threading
 import pytest
 
 import repro.scenarios.planner as planner
+from repro.core import WhatIfSession
 from repro.core.model_manager import ModelManager
+from repro.scenarios import ScenarioSpace
 from repro.server import SystemDServer
+from repro.server.serialization import to_json_safe
+
+ROWS = 80
 
 SPACE = {
     "axes": [
@@ -27,14 +34,55 @@ SPACE = {
 #: The same space with its axes listed in the opposite order.
 SPACE_REVERSED = {"axes": list(reversed(SPACE["axes"]))}
 
+#: Spaces the wire parsers reject; each must be a protocol error, not a crash.
+INVALID_SPACES = (
+    {},
+    {"space": "not an object"},
+    {"space": {"axes": []}},
+    {"space": {"axes": [{"driver": "Call"}]}},
+    {"space": {"axes": [{"driver": "Call", "amounts": [1], "mode": "typo"}]}},
+    {"space": {"axes": [5]}},
+    {"space": {"axes": "abc"}},
+    {"space": {"axes": [{"driver": "Call", "amounts": [0]}], "sample": [1]}},
+    {"space": {"axes": [{"driver": "Call", "amounts": "12345"}]}},
+    {
+        "space": {
+            "axes": [{"driver": "Call", "amounts": [0]}],
+            "constraints": [{"kind": "budget", "limit": 1, "weights": [1]}],
+        }
+    },
+    {"space": {"axes": [{"driver": "Call", "amounts": [0]}], "sample": {"n": 2, "seed": 1e999}}},
+)
+
 
 def make_server(workers: int = 1) -> SystemDServer:
     server = SystemDServer(engine_workers=workers)
     loaded = server.request(
-        "load_use_case", use_case="deal_closing", dataset_kwargs={"n_prospects": 80}
+        "load_use_case", use_case="deal_closing", dataset_kwargs={"n_prospects": ROWS}
     )
     assert loaded.ok, loaded.error
     return server
+
+
+def submit_sweep(server: SystemDServer, session_id: str = "", **params):
+    """Submit a ``run_sweep`` job with ``params``; returns the response."""
+    return server.request(
+        "submit", {"action": "run_sweep", "params": params}, session_id=session_id
+    )
+
+
+def fetch_result(server: SystemDServer, submitted, timeout_s: float = 120):
+    """Wait for a submitted sweep job and return the ``job_result`` response."""
+    return server.request("job_result", job_id=submitted.data["job"]["job_id"], timeout_s=timeout_s)
+
+
+def in_process_sweep(space: dict, **kwargs) -> str:
+    """``WhatIfSession.sweep`` on a fresh session, as canonical JSON text."""
+    session = WhatIfSession.from_use_case(
+        "deal_closing", dataset_kwargs={"n_prospects": ROWS}, random_state=0
+    )
+    result = session.sweep(ScenarioSpace.from_dict(space), **kwargs)
+    return json.dumps(to_json_safe(result), sort_keys=True)
 
 
 class Barrier:
@@ -72,13 +120,12 @@ def barrier(monkeypatch):
 class TestSweepSubmission:
     def test_async_result_matches_sync_run_sweep(self):
         server = make_server(workers=2)
-        submitted = server.request("sweep", space=SPACE, top_k=3)
+        submitted = submit_sweep(server, space=SPACE, top_k=3)
         assert submitted.ok, submitted.error
-        assert submitted.data["space_size"] == 15
-        fetched = server.request(
-            "sweep_result", job_id=submitted.data["job"]["job_id"], timeout_s=120
-        )
+        assert submitted.data["job"]["action"] == "run_sweep"
+        fetched = fetch_result(server, submitted)
         assert fetched.ok, fetched.error
+        assert fetched.data["result"]["n_space"] == 15
         sync = server.request("run_sweep", space=SPACE, top_k=3)
         assert sync.ok, sync.error
         assert json.dumps(fetched.data["result"], sort_keys=True) == json.dumps(
@@ -89,123 +136,99 @@ class TestSweepSubmission:
         assert [s["kind"] for s in ledger.data["scenarios"]] == ["sweep", "sweep"]
         server.close()
 
-    def test_sweep_result_by_hash_is_session_scoped(self):
-        # the same space hash submitted from two sessions must resolve to
-        # the requesting session's job, and an omitted session id means the
-        # default session — never "any session with this hash"
+    def test_same_space_in_two_sessions_runs_one_job_each(self):
+        # the coalesce key covers the session: the same space submitted from
+        # two sessions runs two jobs, each scoring its own session's rows
         server = make_server()
         other = server.request(
             "create_session", use_case="deal_closing", dataset_kwargs={"n_prospects": 60}
         )
         assert other.ok, other.error
         other_id = other.data["session_id"]
-        mine = server.request("sweep", space=SPACE)
-        theirs = server.request("sweep", space=SPACE, session_id=other_id)
-        assert mine.data["space_hash"] == theirs.data["space_hash"]
+        mine = submit_sweep(server, space=SPACE)
+        theirs = submit_sweep(server, session_id=other_id, space=SPACE)
+        assert not theirs.data["coalesced"]
         assert mine.data["job"]["job_id"] != theirs.data["job"]["job_id"]
-        default_result = server.request(
-            "sweep_result", space_hash=mine.data["space_hash"], timeout_s=120
-        )
-        assert default_result.ok, default_result.error
-        assert default_result.data["job"]["job_id"] == mine.data["job"]["job_id"]
-        scoped = server.request(
-            "sweep_result",
-            space_hash=theirs.data["space_hash"],
-            session_id=other_id,
-            timeout_s=120,
-        )
-        assert scoped.ok, scoped.error
-        assert scoped.data["job"]["job_id"] == theirs.data["job"]["job_id"]
-        server.close()
-
-    def test_sweep_result_by_space_hash(self):
-        server = make_server()
-        submitted = server.request("sweep", space=SPACE)
-        assert submitted.ok, submitted.error
-        fetched = server.request(
-            "sweep_result", space_hash=submitted.data["space_hash"], timeout_s=120
-        )
+        assert theirs.data["job"]["session_id"] == other_id
+        assert fetch_result(server, mine).ok
+        fetched = fetch_result(server, theirs)
         assert fetched.ok, fetched.error
-        assert fetched.data["job"]["job_id"] == submitted.data["job"]["job_id"]
-        missing = server.request("sweep_result", space_hash="no-such-hash")
-        assert not missing.ok
-        assert "no sweep job" in missing.error
-        neither = server.request("sweep_result")
-        assert not neither.ok
+        scoped = server.request("run_sweep", space=SPACE, session_id=other_id)
+        assert fetched.data["result"] == scoped.data
         server.close()
 
     def test_invalid_spaces_are_protocol_errors(self):
         server = make_server()
-        for params in (
-            {},
-            {"space": "not an object"},
-            {"space": {"axes": []}},
-            {"space": {"axes": [{"driver": "Call"}]}},
-            {"space": {"axes": [{"driver": "Call", "amounts": [1], "mode": "typo"}]}},
-        ):
-            response = server.request("sweep", params)
-            assert not response.ok
-            # every failure is a structured protocol error, not a crash
-            assert "space" in response.error or "invalid" in response.error
+        for params in INVALID_SPACES:
+            # in process, and at submission: nothing is queued
+            for response in (
+                server.request("run_sweep", params),
+                server.request("submit", {"action": "run_sweep", "params": params}),
+            ):
+                assert not response.ok, params
+                # every failure is a structured protocol error, not a crash
+                assert response.error_kind == "protocol", (params, response.error)
+                assert "space" in response.error or "invalid" in response.error
+        assert server.request("list_jobs").data["total"] == 0
         server.close()
 
 
 class TestSweepCoalescing:
     def test_identical_spaces_coalesce_across_axis_order(self, barrier):
         server = make_server(workers=1)
-        first = server.request("sweep", space=SPACE)
+        first = submit_sweep(server, space=SPACE)
         assert first.ok, first.error
         assert barrier.started.wait(10)
         # same space, different listing order: canonicalisation makes the
         # submissions byte-identical, so they attach to the in-flight job
-        second = server.request("sweep", space=SPACE_REVERSED)
+        second = submit_sweep(server, space=SPACE_REVERSED)
         assert second.ok, second.error
-        assert second.data["space_hash"] == first.data["space_hash"]
         assert second.data["coalesced"]
         assert second.data["job"]["job_id"] == first.data["job"]["job_id"]
         assert second.data["job"]["attached"] == 2
         # a different space must not coalesce
-        other = server.request(
-            "sweep", space={"axes": [{"driver": "Call", "amounts": [5.0]}]}
-        )
+        other = submit_sweep(server, space={"axes": [{"driver": "Call", "amounts": [5.0]}]})
         assert not other.data["coalesced"]
         barrier.release.set()
         # drain every job before the patched scoring path is restored
-        for data in (first, other):
-            result = server.request(
-                "sweep_result", job_id=data.data["job"]["job_id"], timeout_s=120
-            )
+        results = [fetch_result(server, data) for data in (first, second, other)]
+        for result in results:
             assert result.ok, result.error
+        assert server.engine.stats()["executed_total"] == 2
+        expected = in_process_sweep(SPACE)
+        for result in results[:2]:
+            assert json.dumps(result.data["result"], sort_keys=True) == expected
         server.close()
 
     def test_different_top_k_does_not_coalesce(self, barrier):
         server = make_server(workers=1)
-        first = server.request("sweep", space=SPACE, top_k=3)
+        first = submit_sweep(server, space=SPACE, top_k=3)
         assert barrier.started.wait(10)
-        second = server.request("sweep", space=SPACE, top_k=5)
+        second = submit_sweep(server, space=SPACE_REVERSED, top_k=5)
         assert not second.data["coalesced"]
         assert second.data["job"]["job_id"] != first.data["job"]["job_id"]
         barrier.release.set()
         # drain every job before the patched scoring path is restored
-        for data in (first, second):
-            result = server.request(
-                "sweep_result", job_id=data.data["job"]["job_id"], timeout_s=120
-            )
+        for data, top_k in ((first, 3), (second, 5)):
+            result = fetch_result(server, data)
             assert result.ok, result.error
+            assert json.dumps(result.data["result"], sort_keys=True) == in_process_sweep(
+                SPACE, top_k=top_k
+            )
         server.close()
 
 
 class TestSweepCancellationAndProgress:
     def test_cancel_mid_chunk_stops_at_next_checkpoint(self, barrier):
         server = make_server(workers=1)
-        submitted = server.request("sweep", space=SPACE)
+        submitted = submit_sweep(server, space=SPACE)
         assert submitted.ok, submitted.error
         job_id = submitted.data["job"]["job_id"]
         assert barrier.started.wait(10)
         cancelled = server.request("cancel_job", job_id=job_id)
         assert cancelled.ok
         barrier.release.set()
-        result = server.request("sweep_result", job_id=job_id, timeout_s=60)
+        result = fetch_result(server, submitted, timeout_s=60)
         assert not result.ok
         assert "cancelled" in result.error
         status = server.request("job_status", job_id=job_id)
@@ -215,7 +238,7 @@ class TestSweepCancellationAndProgress:
 
     def test_list_jobs_surfaces_sweep_progress_fraction(self, barrier):
         server = make_server(workers=1)
-        submitted = server.request("sweep", space=SPACE)
+        submitted = submit_sweep(server, space=SPACE)
         assert submitted.ok, submitted.error
         assert barrier.started.wait(10)
         # one of eight 2-scenario chunks finished and checkpointed
@@ -226,9 +249,7 @@ class TestSweepCancellationAndProgress:
         assert jobs[0]["action"] == "run_sweep"
         assert 0.0 < jobs[0]["progress"] < 1.0
         barrier.release.set()
-        done = server.request(
-            "sweep_result", job_id=submitted.data["job"]["job_id"], timeout_s=120
-        )
+        done = fetch_result(server, submitted)
         assert done.ok, done.error
         assert done.data["job"]["progress"] == 1.0
         server.close()

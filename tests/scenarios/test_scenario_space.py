@@ -169,11 +169,12 @@ class TestSerializationAndHashing:
         )
         payload = json.loads(json.dumps(space.to_dict()))
         rebuilt = ScenarioSpace.from_dict(payload)
-        assert rebuilt.space_hash() == space.space_hash()
+        assert rebuilt.to_dict() == space.to_dict()
         assert [s.amounts for s in rebuilt.scenarios()] == [
             s.amounts for s in space.scenarios()
         ]
 
+    # the server's job coalesce key hashes the canonical to_dict() form
     def test_hash_invariant_under_axis_listing_order(self):
         forward = ScenarioSpace(
             [Axis.values("a", [1.0]), Axis.values("b", [2.0, 3.0])]
@@ -181,16 +182,35 @@ class TestSerializationAndHashing:
         backward = ScenarioSpace(
             [Axis.values("b", [2.0, 3.0]), Axis.values("a", [1.0])]
         )
-        assert forward.space_hash() == backward.space_hash()
+        assert forward.to_dict() == backward.to_dict()
+        assert [s.amounts for s in forward.scenarios()] == [s.amounts for s in backward.scenarios()]
 
     def test_hash_sensitive_to_content(self):
         base = ScenarioSpace([Axis.values("a", [1.0])])
-        assert base.space_hash() != ScenarioSpace([Axis.values("a", [2.0])]).space_hash()
+        assert base.to_dict() != ScenarioSpace([Axis.values("a", [2.0])]).to_dict()
         assert (
-            base.space_hash()
-            != ScenarioSpace([Axis.values("a", [1.0])], sample={"n": 1}).space_hash()
+            base.to_dict()
+            != ScenarioSpace([Axis.values("a", [1.0])], sample={"n": 1}).to_dict()
         )
 
     def test_from_dict_requires_axes(self):
         with pytest.raises(ValueError):
             ScenarioSpace.from_dict({"axes": []})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"axes": [5]},
+            {"axes": "abc"},
+            {"axes": {"a": 1}},
+            {"axes": [{"driver": "a", "amounts": [1.0]}], "sample": [1]},
+            {"axes": [{"driver": "a", "amounts": "12345"}]},
+            {
+                "axes": [{"driver": "a", "amounts": [1.0]}],
+                "constraints": [{"kind": "budget", "limit": 1.0, "weights": [1.0]}],
+            },
+        ],
+    )
+    def test_from_dict_rejects_malformed_payloads(self, payload):
+        with pytest.raises(ValueError):
+            ScenarioSpace.from_dict(payload)

@@ -237,14 +237,17 @@ class TestSigkillRecovery:
             # space is large enough that the kill always beats its completion
             status, inflight = first.send(
                 "POST",
-                f"/api/v1/sessions/{sid}/sweeps",
+                f"/api/v1/sessions/{sid}/jobs",
                 {
-                    "space": {
-                        "axes": [
-                            {"driver": DRIVER, "start": -40, "stop": 40, "step": 1},
-                            {"driver": "Call", "start": -40, "stop": 40, "step": 1},
-                        ]
-                    }
+                    "action": "run_sweep",
+                    "params": {
+                        "space": {
+                            "axes": [
+                                {"driver": DRIVER, "start": -40, "stop": 40, "step": 1},
+                                {"driver": "Call", "start": -40, "stop": 40, "step": 1},
+                            ]
+                        }
+                    },
                 },
             )
             assert status == 201 and inflight["ok"], inflight

@@ -114,9 +114,9 @@ class TestCaps:
         assert "n_prospects" in envelope["error"]
 
     @pytest.mark.parametrize(
-        "action, params",
+        "action, params, limit",
         [
-            ("run_sweep", {"space": {"axes": [HUGE_AXIS]}}),
+            ("run_sweep", {"space": {"axes": [HUGE_AXIS]}}, "axis levels"),
             (
                 "run_sweep",
                 {
@@ -127,30 +127,48 @@ class TestCaps:
                         ]
                     }
                 },
+                "scenario grid size",
             ),
             (
                 "run_sweep",
                 {"space": {"axes": [{"driver": "Call", "amounts": [0]}], "sample": {"n": 10**6}}},
+                "sample.n",
             ),
-            ("comparison", {"drivers": ["Call"], "amounts": list(range(20_000))}),
-            ("goal_inversion", {"n_calls": 10**6}),
-            ("constrained", {"bounds": {"Call": [0, 10]}, "n_calls": 10**6}),
+            (
+                "comparison",
+                {"drivers": ["Call"], "amounts": list(range(20_000))},
+                "drivers x amounts",
+            ),
+            ("goal_inversion", {"n_calls": 10**6}, "n_calls"),
+            ("constrained", {"bounds": {"Call": [0, 10]}, "n_calls": 10**6}, "n_calls"),
         ],
         ids=["huge-axis", "grid", "sample-n", "comparison", "goal-inversion", "constrained"],
     )
-    def test_over_cap_job_fails_before_any_scoring(self, httpd, session_id, action, params):
+    def test_over_cap_job_fails_before_any_scoring(self, httpd, session_id, action, params, limit):
         assert handlers.MAX_SCENARIOS < 20_000 and handlers.MAX_N_CALLS < 10**6
-        job, error = failed_job(httpd, session_id, action, params)
-        assert job["state"] == "failed"
-        assert job["progress"] == 0.0
-        assert "exceeds the limit" in error
+        if action == "run_sweep":
+            # a sweep space's payload caps answer 413 at submission: nothing is queued
+            path = f"/api/v1/sessions/{session_id}/jobs"
+            jobs_before = call(httpd.base_url, "GET", path)[1]["data"]["total"]
+            body = {"action": action, "params": params}
+            status, envelope = call(httpd.base_url, "POST", path, body)
+            assert status == 413, envelope
+            assert envelope["error_kind"] == "too_large"
+            error = envelope["error"]
+            assert call(httpd.base_url, "GET", path)[1]["data"]["total"] == jobs_before
+        else:
+            job, error = failed_job(httpd, session_id, action, params)
+            assert job["state"] == "failed"
+            assert job["progress"] == 0.0
+        assert limit in error and "exceeds the limit" in error
 
     def test_over_cap_sweep_submission_is_413(self, httpd, session_id):
+        # the in-process dispatcher refuses an over-cap sweep at submission too
         assert handlers.MAX_SCENARIOS < HUGE_AXIS["stop"]
         response = httpd.backend.request(
-            "sweep",
+            "submit",
+            {"action": "run_sweep", "params": {"space": {"axes": [HUGE_AXIS]}}},
             session_id=session_id,
-            space={"axes": [HUGE_AXIS]},
         )
         assert not response.ok and response.error_kind == "too_large"
 
@@ -183,12 +201,39 @@ class TestScenarioRowCap:
         assert job["progress"] == 0.0
         assert "scenarios x rows" in error and "exceeds the limit" in error
 
-    def test_over_cap_sweep_submission_is_413(self, httpd, wide_session):
-        path = f"/api/v1/sessions/{wide_session}/sweeps"
-        status, envelope = call(httpd.base_url, "POST", path, {"space": {"axes": [WIDE_AXIS]}})
-        assert status == 413, envelope
-        assert envelope["error_kind"] == "too_large"
-        assert "scenarios x rows" in envelope["error"]
+
+class TestMalformedSpaces:
+    @pytest.mark.parametrize(
+        "space",
+        [
+            {"axes": [5]},
+            {"axes": "abc"},
+            {"axes": [{"driver": "Call", "amounts": [0]}], "sample": [1]},
+            {"axes": [{"driver": "Call", "amounts": "12345"}]},
+            {
+                "axes": [{"driver": "Call", "amounts": [0]}],
+                "constraints": [{"kind": "budget", "limit": 1, "weights": [1]}],
+            },
+            {"axes": [{"driver": "Call", "amounts": [0]}], "sample": {"n": 2, "seed": 1e999}},
+        ],
+        ids=[
+            "axis-not-object",
+            "axes-not-list",
+            "sample-not-object",
+            "amounts-text",
+            "weights-not-object",
+            "infinite-seed",
+        ],
+    )
+    def test_submission_is_400(self, httpd, session_id, space):
+        path = f"/api/v1/sessions/{session_id}/jobs"
+        jobs_before = call(httpd.base_url, "GET", path)[1]["data"]["total"]
+        body = {"action": "run_sweep", "params": {"space": space}}
+        status, envelope = call(httpd.base_url, "POST", path, body)
+        assert status == 400, envelope
+        assert envelope["error_kind"] == "protocol"
+        assert "invalid scenario space" in envelope["error"]
+        assert call(httpd.base_url, "GET", path)[1]["data"]["total"] == jobs_before
 
 
 class TestJobResultWait:

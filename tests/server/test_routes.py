@@ -447,9 +447,9 @@ LOAD = {"use_case": "deal_closing", "dataset_kwargs": {"n_prospects": 80}}
 
 
 class TestRouteMatrix:
-    """The view, stats and sweep routes: status, the same ``data`` as the
+    """The view, stats and sweep-job routes: status, the same ``data`` as the
     in-process dispatcher for the same parameters, and 404 for an unknown
-    session."""
+    session or a retired route."""
 
     SID = "matrix"
 
@@ -505,26 +505,38 @@ class TestRouteMatrix:
         assert set(data) == set(reference)
         assert data["registry"] == reference["registry"]
 
-    def test_sweep_then_sweep_result(self, backend, base_url):
-        body = {"space": SWEEP_SPACE}
-        queued = self.route(base_url, "POST", "/api/v1/sessions/{sid}/sweeps", body, 201)
-        reference = backend.request("sweep", body, session_id=self.SID).data
-        assert queued["space_hash"] == reference["space_hash"]
-        assert queued["space_size"] == reference["space_size"]
+    def test_run_sweep_job_then_result(self, backend, base_url):
+        body = {"action": "run_sweep", "params": {"space": SWEEP_SPACE}}
+        queued = self.route(base_url, "POST", "/api/v1/sessions/{sid}/jobs", body, 201)
         assert queued["job"]["action"] == "run_sweep"
-        space_hash = queued["space_hash"]
-        data = self.route(base_url, "GET", f"/api/v1/sessions/{{sid}}/sweeps/{space_hash}")
+        job_id = queued["job"]["job_id"]
+        data = self.route(base_url, "GET", f"/api/v1/sessions/{{sid}}/jobs/{job_id}?result=1")
         assert data["job"]["state"] == "done"
-        fetched = backend.request("sweep_result", session_id=self.SID, space_hash=space_hash)
+        fetched = backend.request("job_result", session_id=self.SID, job_id=job_id)
         assert data == fetched.data
+        reference = backend.request("run_sweep", {"space": SWEEP_SPACE}, session_id=self.SID)
+        assert data["result"] == reference.data
+        assert data["result"]["n_space"] == 2
 
-    def test_sweep_result_ignores_a_job_id_from_another_session(self, backend, base_url):
-        other = backend.request("submit", {"action": "per_data"}).data["job"]["job_id"]
-        body = {"space": SWEEP_SPACE}
-        queued = self.route(base_url, "POST", "/api/v1/sessions/{sid}/sweeps", body, 201)
-        path = f"/api/v1/sessions/{{sid}}/sweeps/{queued['space_hash']}?job_id={other}"
-        data = self.route(base_url, "GET", path)
-        assert data["job"]["session_id"] == self.SID
+    def test_retired_sweep_routes_are_404(self, backend, base_url):
+        jobs_before = backend.request("list_jobs").data["total"]
+        for method, path, body in (
+            ("POST", "/api/v1/sessions/{sid}/sweeps", {"space": SWEEP_SPACE}),
+            ("GET", "/api/v1/sessions/{sid}/sweeps/0123abcd", None),
+        ):
+            status, _, envelope = call(base_url, method, path.format(sid=self.SID), body)
+            assert status == 404, envelope
+            assert envelope["error_kind"] == "not_found"
+            assert "no route" in envelope["error"]
+        # a sweep is no job-able action: only run_sweep is
+        for action in ("sweep", "sweep_result"):
+            body = {"action": action, "params": {"space": SWEEP_SPACE}}
+            status, _, envelope = call(base_url, "POST", f"/api/v1/sessions/{self.SID}/jobs", body)
+            assert status == 400, envelope
+            assert envelope["error_kind"] == "protocol"
+            assert "cannot run as a job" in envelope["error"]
+        assert backend.request("list_jobs").data["total"] == jobs_before
+        assert not {"sweep", "sweep_result"} & {op.action for op in OPERATIONS}
 
     @pytest.mark.parametrize(
         "method, path, body",
@@ -541,7 +553,9 @@ class TestRouteMatrix:
         status, _, envelope = call(base_url, method, f"/api/v1/sessions/ghost{path}", body)
         assert status == 404, envelope
         assert envelope["error_kind"] == "not_found"
-        assert "no route" not in envelope["error"]  # the route matched; the session did not
+        # a live route matched and the session did not; a retired sweep route matches nothing
+        retired = path.startswith("/sweeps")
+        assert ("no route" in envelope["error"]) == retired
 
 
 def test_every_action_is_reachable_over_http(httpd, base_url):
@@ -552,13 +566,12 @@ def test_every_action_is_reachable_over_http(httpd, base_url):
     sid = "reach"
     created = backend.request("create_session", LOAD, session_id=sid)
     assert created.ok, created.error
-    sweep = backend.request("sweep", session_id=sid, space=SWEEP_SPACE).data
-    ids = {
-        "sid": sid,
-        "jid": sweep["job"]["job_id"],
-        "share_id": created.data["share_id"],
-        "space_hash": sweep["space_hash"],
-    }
+    sweep = backend.request(
+        "submit", {"action": "run_sweep", "params": {"space": SWEEP_SPACE}}, session_id=sid
+    ).data
+    ids = {"sid": sid, "jid": sweep["job"]["job_id"], "share_id": created.data["share_id"]}
+    # the params a job-able action needs to be accepted at submission
+    job_params = {"run_sweep": {"space": SWEEP_SPACE}}
     jobs = f"/api/v1/sessions/{sid}/jobs"
     by_action = {op.action: op for op in OPERATIONS}
     # the session and its job are deleted last, once nothing else needs them
@@ -569,7 +582,8 @@ def test_every_action_is_reachable_over_http(httpd, base_url):
             status, _, envelope = call(base_url, method, target.format(**ids))
             assert backend.request_log[-1]["action"] == action, (op.route, envelope)
         elif op.job:
-            status, _, envelope = call(base_url, "POST", jobs, {"action": action})
+            body = {"action": action, "params": job_params.get(action, {})}
+            status, _, envelope = call(base_url, "POST", jobs, body)
             assert status == 201, envelope
             assert envelope["data"]["job"]["action"] == action
             call(base_url, "DELETE", f"{jobs}/{envelope['data']['job']['job_id']}")

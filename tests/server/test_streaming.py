@@ -83,7 +83,8 @@ def load(httpd, rows: int) -> None:
 
 
 def submit_sweep(httpd, space=SPACE) -> str:
-    envelope = call(httpd, "POST", f"{SESSION}/sweeps", {"space": space})
+    body = {"action": "run_sweep", "params": {"space": space}}
+    envelope = call(httpd, "POST", f"{SESSION}/jobs", body)
     assert envelope["ok"], envelope["error"]
     return envelope["data"]["job"]["job_id"]
 
